@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, parse_config
+from .constants import TWO_PI
 from .cqed import (
     cooperativity,
     coupling_regime,
@@ -43,8 +43,6 @@ from .errors import ConfigError, IngestError, QdSwitchError
 from .fitting import fit_contrast, fit_spectrum, fit_stark_curve
 from .manifest import write_manifest
 from .switching import EnergyBudget, on_off_ratio, simulate_switching, switching_energy
-
-TWO_PI = 2.0 * math.pi
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -118,23 +116,17 @@ def _cmd_stark(cfg: RunConfig, args) -> int:
     coeffs = cfg.stark_coefficients()
     sign = cfg["field_sign"]
     limit = cfg["fit_field_limit_v_per_um"]
-    rows = []
-    for v in cfg.voltage_grid():
-        field = field_at_cavity(elec, v)
-        rows.append((
-            v,
-            depletion_width(elec, v),
-            field,
-            stark_shift(coeffs, sign * field),
-            field > limit,
-        ))
+    volts = cfg.voltage_grid()
+    fields = field_at_cavity(elec, volts)
+    rows = zip(volts.tolist(), depletion_width(elec, volts).tolist(), fields.tolist(),
+               stark_shift(coeffs, sign * fields).tolist(), (fields > limit).tolist())
     out = write_csv(Path(args.out) / "stark.csv",
                     ["voltage_V", "x_d_um", "field_V_per_um", "shift_meV", "extrapolated"],
                     rows)
     _finish(cfg, args, "stark", [out],
             {"summary.onset_voltage_V": onset_voltage(elec)})
     print(f"onset_voltage_V = {onset_voltage(elec)!r}")
-    print(f"rows = {len(rows)}")
+    print(f"rows = {volts.size}")
     return EXIT_OK
 
 
@@ -153,7 +145,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
     grid = cfg.detuning_grid()
     refl = reflectivity_spectrum(cqed, grid)
     pl = pl_spectrum(cqed, grid)
-    rows = zip(grid / TWO_PI, refl.intensities, pl.intensities)
+    rows = zip((grid / TWO_PI).tolist(), refl.intensities.tolist(), pl.intensities.tolist())
     out = write_csv(Path(args.out) / "spectrum.csv",
                     ["detuning_GHz", "reflectivity", "pl"], rows)
     _finish(cfg, args, "spectrum", [out], {"summary.bias_V": bias})
@@ -173,7 +165,7 @@ def _cmd_switch(cfg: RunConfig, args) -> int:
     ratio = on_off_ratio(trace)
     trace_path = write_csv(Path(args.out) / "switch_trace.csv",
                            ["time_ns", "intensity"],
-                           zip(trace.times, trace.values))
+                           zip(trace.times.tolist(), trace.values.tolist()))
     summary_rows = [
         ("drive_MHz", drive.frequency_mhz, "MHz"),
         ("on_off_ratio", ratio, "dimensionless"),

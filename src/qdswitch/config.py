@@ -17,12 +17,11 @@ from typing import Any
 
 import numpy as np
 
+from .constants import TWO_PI
 from .cqed import CqedParams, OpticalFrame, kappa_from_q
 from .electrostatics import ElectrostaticParams, StarkCoefficients
 from .errors import ConfigError, DomainError
 from .switching import DriveSpec
-
-TWO_PI = 2.0 * math.pi
 
 
 def _parse_float(text: str) -> float:
@@ -281,9 +280,9 @@ def _validate(cfg: RunConfig) -> None:
     cfg.detuning_grid()
     cfg.screening()
     for v, ratio in cfg["contrast_targets"]:
-        if ratio < 1.0 or v < 0.0:
+        if not (math.isfinite(v) and math.isfinite(ratio) and ratio >= 1.0 and v >= 0.0):
             raise ConfigError(
-                f"contrast_targets entries need V >= 0 and ratio >= 1, got {v}:{ratio}")
+                f"contrast_targets entries need finite V >= 0 and ratio >= 1, got {v}:{ratio}")
     if cfg["active_volume_um3"] <= 0.0:
         raise ConfigError("active_volume (key active_volume_um3) must be > 0")
     if cfg["energy_field_v_per_um"] < 0.0:

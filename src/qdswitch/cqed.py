@@ -127,16 +127,25 @@ def polariton_modes(params: CqedParams) -> tuple[complex, complex]:
     return lo, hi
 
 
-def _reflectivity(params: CqedParams, omega):
-    e = 1j * (params.dot_freq - omega) + params.dot_decay
-    d = 1j * (params.cavity_freq - omega) + params.cavity_decay \
-        + params.coupling ** 2 / e
+def reflectivity_model(params: CqedParams, omega, *, dot_freq=None, coupling=None,
+                       dot_decay=None):
+    """Weak-probe reflectivity b + A |kappa / D|^2 at probe frequency omega.
+
+    dot_freq, coupling and dot_decay replace the matching params fields
+    when given, unvalidated; every argument broadcasts, so one call
+    evaluates a whole trace or parameter grid.
+    """
+    dot_freq = params.dot_freq if dot_freq is None else dot_freq
+    coupling = params.coupling if coupling is None else coupling
+    dot_decay = params.dot_decay if dot_decay is None else dot_decay
+    e = 1j * (dot_freq - omega) + dot_decay
+    d = 1j * (params.cavity_freq - omega) + params.cavity_decay + coupling ** 2 / e
     return params.background + params.amplitude * np.abs(params.cavity_decay / d) ** 2
 
 
 def reflectivity_at(params: CqedParams, omega: float) -> float:
     """Probe intensity of the cavity transmission function at one frequency."""
-    return float(_reflectivity(params, omega))
+    return float(reflectivity_model(params, omega))
 
 
 def _as_grid(detunings) -> np.ndarray:
@@ -157,7 +166,7 @@ def reflectivity_spectrum(params: CqedParams, detunings) -> Spectrum:
     the bare-cavity peak, C = g^2/(kappa gamma).
     """
     grid = _as_grid(detunings)
-    return Spectrum(grid, _reflectivity(params, grid))
+    return Spectrum(grid, reflectivity_model(params, grid))
 
 
 def pl_spectrum(params: CqedParams, detunings) -> Spectrum:
@@ -209,13 +218,15 @@ def vacuum_rabi_splitting(params: CqedParams) -> float:
     return (hi.real - lo.real) / (2.0 * math.pi)
 
 
-def g_of_voltage(anchors: Sequence[tuple[float, float]], v: float) -> float:
+def g_of_voltage(anchors: Sequence[tuple[float, float]], v):
     """Piecewise-linear coupling versus bias from anchor points, clamped
-    at both ends.  Needs at least two anchors with increasing voltage."""
+    at both ends.  Needs at least two anchors with increasing voltage.
+    Returns a float for a scalar bias and an array for an array."""
     if len(anchors) < 2:
         raise DomainError("g_of_voltage needs at least two anchor points")
     volts = np.asarray([a[0] for a in anchors], dtype=float)
     gs = np.asarray([a[1] for a in anchors], dtype=float)
     if not np.all(np.diff(volts) > 0.0):
         raise DomainError("anchor voltages must be strictly increasing")
-    return float(np.interp(v, volts, gs))
+    g = np.interp(v, volts, gs)
+    return float(g) if np.ndim(g) == 0 else g

@@ -8,20 +8,22 @@ byte-identical across reruns of the same configuration.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT_NM_NS
+from .constants import SPEED_OF_LIGHT_NM_NS, TWO_PI
 from .cqed import Spectrum
 from .errors import DomainError, IngestError
 from .fitting import ShiftDataset
 
-TWO_PI = 2.0 * np.pi
-
 SPECTRUM_WAVELENGTH_HEADER = "wavelength_nm"
 SPECTRUM_DETUNING_HEADER = "detuning_GHz"
+
+# Rows formatted and written per file write; bounds the text held in memory.
+WRITE_CHUNK_ROWS = 4096
 
 
 def format_value(value) -> str:
@@ -35,16 +37,26 @@ def format_value(value) -> str:
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write rows under a mandatory header; returns the path."""
+    """Write rows under a mandatory header, WRITE_CHUNK_ROWS at a time;
+    returns the path.  Values are formatted by format_value, Python floats
+    (array columns passed as .tolist()) by a direct repr.  A row of the
+    wrong width raises and leaves no file behind."""
     if not header:
         raise DomainError("CSV header must not be empty")
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise DomainError("CSV row width differs from header")
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    width = len(header)
+    rows = iter(rows)
+    try:
+        with path.open("w", encoding="utf-8") as f:
+            f.write(",".join(header) + "\n")
+            while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
+                if any(len(row) != width for row in chunk):
+                    raise DomainError("CSV row width differs from header")
+                f.write("".join([",".join([repr(v) if type(v) is float else format_value(v)
+                                           for v in row]) + "\n" for row in chunk]))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import (
     ANGULAR_GHZ_PER_MEV,
     ELEMENTARY_CHARGE_C,
@@ -75,18 +77,24 @@ class StarkCoefficients:
             raise DomainError("Stark coefficients must be finite")
 
 
-def depletion_width(params: ElectrostaticParams, v_reverse: float) -> float:
+def _result(values):
+    """A Python float for a scalar bias, the array otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
+def depletion_width(params: ElectrostaticParams, v_reverse):
     """Depletion-layer width in um for a reverse bias v_reverse >= 0 (V).
 
     x_d = sqrt(2 eps (phi + V) / (e N_d)); strictly increasing and
-    concave in the bias.
+    concave in the bias.  Takes a scalar or an array of biases.
     """
-    if v_reverse < 0.0:
+    v = np.asarray(v_reverse, dtype=float)
+    if not (v >= 0.0).all():
         raise DomainError(f"v_reverse must be >= 0, got {v_reverse}")
     eps = VACUUM_PERMITTIVITY_F_UM * params.relative_permittivity
     nd_um3 = params.donor_density_cm3 / UM3_PER_CM3
-    drop = params.barrier_potential_v + v_reverse
-    return math.sqrt(2.0 * eps * drop / (ELEMENTARY_CHARGE_C * nd_um3))
+    drop = params.barrier_potential_v + v
+    return _result(np.sqrt(2.0 * eps * drop / (ELEMENTARY_CHARGE_C * nd_um3)))
 
 
 def onset_voltage(params: ElectrostaticParams) -> float:
@@ -102,29 +110,26 @@ def onset_voltage(params: ElectrostaticParams) -> float:
     return max(0.0, v)
 
 
-def field_at_cavity(params: ElectrostaticParams, v_reverse: float) -> float:
+def field_at_cavity(params: ElectrostaticParams, v_reverse):
     """Field magnitude at the cavity center, V/um.
 
     Zero while the depletion edge is short of the dot, then
     e N_d (x_d - dx) / eps; continuous at the onset and piecewise
-    linear in x_d.
+    linear in x_d.  Takes a scalar or an array of biases.
     """
-    x_d = depletion_width(params, v_reverse)
-    dx = params.electrode_distance_um
-    if x_d <= dx:
-        return 0.0
+    depth = np.maximum(depletion_width(params, v_reverse) - params.electrode_distance_um, 0.0)
     eps = VACUUM_PERMITTIVITY_F_UM * params.relative_permittivity
     nd_um3 = params.donor_density_cm3 / UM3_PER_CM3
-    return ELEMENTARY_CHARGE_C * nd_um3 * (x_d - dx) / eps
+    return _result(ELEMENTARY_CHARGE_C * nd_um3 * depth / eps)
 
 
-def stark_shift(coeffs: StarkCoefficients, field: float) -> float:
+def stark_shift(coeffs: StarkCoefficients, field):
     """Energy shift in meV at a signed field (V/um): dipole*F - polarizability*F^2."""
     return (coeffs.dipole_mev_um_per_v * field
             - coeffs.polarizability_mev_um2_per_v2 * field * field)
 
 
-def apply_screening(shift_mev: float, screening: float) -> float:
+def apply_screening(shift_mev, screening: float):
     """Scale a shift by the free-carrier screening factor in [0, 1]."""
     if not 0.0 <= screening <= 1.0:
         raise DomainError(f"screening must be in [0, 1], got {screening}")
@@ -134,16 +139,17 @@ def apply_screening(shift_mev: float, screening: float) -> float:
 def voltage_to_detuning(
     params: ElectrostaticParams,
     coeffs: StarkCoefficients,
-    v_reverse: float,
+    v_reverse,
     *,
     screening: float = 1.0,
     field_sign: float = DEFAULT_FIELD_SIGN,
-) -> float:
+):
     """Screened Stark detuning of the dot in angular GHz at a reverse bias.
 
     Composition of the voltage-to-field map, the quadratic shift
     evaluated at the signed field, the screening factor, and the
-    meV-to-angular-GHz conversion.  Zero below the onset voltage.
+    meV-to-angular-GHz conversion.  Zero below the onset voltage.  Takes
+    a scalar or an array of biases.
     """
     field = field_sign * field_at_cavity(params, v_reverse)
     shift = apply_screening(stark_shift(coeffs, field), screening)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cqed import CqedParams, Spectrum, reflectivity_at
+from .cqed import CqedParams, Spectrum, reflectivity_at, reflectivity_model
 from .electrostatics import (
     DEFAULT_FIELD_SIGN,
     ElectrostaticParams,
@@ -199,7 +199,7 @@ def fit_stark_curve(
     information; if fewer than three informative points remain, or the
     design is rank deficient (all fields equal), the fit is degenerate.
     """
-    fields = np.array([field_sign * field_at_cavity(elec, v) for v in data.voltages])
+    fields = field_sign * field_at_cavity(elec, data.voltages)
     nonzero = np.count_nonzero(fields)
     if nonzero < 3:
         raise DegenerateFitError(
@@ -244,9 +244,7 @@ def stark_model(
     field_sign: float = DEFAULT_FIELD_SIGN,
 ) -> np.ndarray:
     """Shift in meV at each bias, for building synthetic datasets."""
-    return np.array([
-        stark_shift(coeffs, field_sign * field_at_cavity(elec, v)) for v in voltages
-    ])
+    return stark_shift(coeffs, field_sign * field_at_cavity(elec, voltages))
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +329,7 @@ def fit_spectrum(
     grid = spectrum.detunings
 
     def residual(x: np.ndarray) -> np.ndarray:
-        p = _unpack(initial, names, x)
-        e = 1j * (p.dot_freq - grid) + p.dot_decay
-        d = 1j * (p.cavity_freq - grid) + p.cavity_decay + p.coupling ** 2 / e
-        model = p.background + p.amplitude * np.abs(p.cavity_decay / d) ** 2
-        return model - data
+        return reflectivity_model(_unpack(initial, names, x), grid) - data
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         p = _unpack(initial, names, x)
@@ -398,7 +392,7 @@ def dc_contrast(
     field_sign: float = DEFAULT_FIELD_SIGN,
 ) -> float:
     """Model on/off ratio between two bias levels with the probe at the
-    zero-bias dot frequency."""
+    zero-bias dot frequency; the per-point form of the calibration model."""
     probe = cqed.dot_freq
 
     def point(v: float) -> float:
@@ -429,17 +423,22 @@ def fit_contrast(
         raise DomainError("contrast calibration needs at least two (V, ratio) targets")
     volts = np.asarray([t[0] for t in targets], dtype=float)
     ratios = np.asarray([t[1] for t in targets], dtype=float)
-    if np.any(ratios < 1.0):
-        raise DomainError("on/off ratios below 1 are infeasible")
-    if np.any(volts < 0.0):
-        raise DomainError("bias targets must be >= 0")
+    if not np.all(np.isfinite(ratios) & (ratios >= 1.0)):
+        raise DomainError("on/off ratios must be finite and >= 1")
+    if not np.all(np.isfinite(volts) & (volts >= 0.0)):
+        raise DomainError("bias targets must be finite and >= 0")
+    # The detuning is linear in the screening factor: evaluate it once at
+    # s = 1 for every target and for the zero-bias reference, then scale.
+    unscreened = voltage_to_detuning(elec, stark, np.append(volts, 0.0),
+                                     field_sign=field_sign)
 
-    def model(gamma: float, s: float) -> np.ndarray:
-        p = replace(cqed, dot_decay=gamma)
-        return np.array([
-            dc_contrast(elec, stark, p, v, screening=s, field_sign=field_sign)
-            for v in volts
-        ])
+    def model(gamma, s) -> np.ndarray:
+        """On/off ratio per target; gamma and s broadcast against each
+        other, targets run along the trailing axis."""
+        intensity = reflectivity_model(
+            cqed, cqed.dot_freq, dot_decay=gamma,
+            dot_freq=cqed.dot_freq + s * unscreened)
+        return intensity[..., :-1] / intensity[..., -1:]
 
     def residual(x: np.ndarray) -> np.ndarray:
         gamma = math.exp(x[0])
@@ -449,15 +448,9 @@ def fit_contrast(
     # Coarse scan keeps the refinement out of the wrong basin.
     gamma_grid = cqed.cavity_decay * np.geomspace(0.02, 2.0, 24)
     s_grid = np.linspace(0.02, 0.9, 18)
-    best = None
-    for gamma in gamma_grid:
-        for s in s_grid:
-            err = model(gamma, s) - ratios
-            cost = float(err @ err)
-            if best is None or cost < best[0]:
-                best = (cost, gamma, s)
-    assert best is not None
-    x0 = np.array([math.log(best[1]), math.log(best[2] / (1.0 - best[2]))])
+    err = model(gamma_grid[:, None, None], s_grid[None, :, None]) - ratios
+    i, k = np.unravel_index(np.argmin(np.sum(err * err, axis=-1)), err.shape[:2])
+    x0 = np.array([math.log(gamma_grid[i]), math.log(s_grid[k] / (1.0 - s_grid[k]))])
 
     x, residual_norm, converged, iterations, jtj = _levenberg_marquardt(residual, x0)
     gamma = math.exp(x[0])

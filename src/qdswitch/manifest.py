@@ -17,11 +17,15 @@ from typing import Mapping, Sequence
 from .csvio import format_value
 
 MANIFEST_NAME = "manifest.txt"
+HASH_BLOCK_BYTES = 1 << 20
 
 
 def sha256_file(path: Path | str) -> str:
+    """Hex SHA-256 of a file, read in HASH_BLOCK_BYTES blocks."""
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        while block := f.read(HASH_BLOCK_BYTES):
+            digest.update(block)
     return digest.hexdigest()
 
 

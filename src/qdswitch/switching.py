@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import JOULE_PER_FJ, VACUUM_PERMITTIVITY_F_UM
-from .cqed import CqedParams
+from .cqed import CqedParams, g_of_voltage, reflectivity_model
 from .electrostatics import (
     DEFAULT_FIELD_SIGN,
     ElectrostaticParams,
@@ -49,10 +49,15 @@ class DriveSpec:
     samples_per_cycle: int = 256
 
     def __post_init__(self) -> None:
+        for name, value in (("v_low", self.v_low), ("v_high", self.v_high),
+                            ("drive_frequency", self.frequency_mhz),
+                            ("rc_cutoff", self.rc_cutoff_mhz)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.v_low <= self.v_high:
             raise DomainError("need v_high >= v_low >= 0")
         if not self.frequency_mhz > 0.0:
-            raise DomainError("frequency must be > 0")
+            raise DomainError("drive_frequency must be > 0")
         if not 0.0 < self.duty < 1.0:
             raise DomainError("duty must be in (0, 1)")
         if not self.rc_cutoff_mhz > 0.0:
@@ -71,10 +76,16 @@ class DriveSpec:
         """RC time constant 1/(2 pi f_c)."""
         return 1e3 / (2.0 * math.pi * self.rc_cutoff_mhz)
 
+    @property
+    def high_samples(self) -> int:
+        """Samples per cycle at v_high: duty * samples_per_cycle, rounded into [1, spc - 1]."""
+        spc = int(self.samples_per_cycle)
+        return min(max(round(self.duty * spc), 1), spc - 1)
+
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """Uniformly sampled non-negative trace: times in ns."""
+    """Uniformly sampled, finite, non-negative trace: times in ns."""
 
     times: np.ndarray
     values: np.ndarray
@@ -89,8 +100,8 @@ class TimeTrace:
             raise DomainError("times must be strictly increasing")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise DomainError("times must be uniformly sampled")
-        if np.any(v < 0.0):
-            raise DomainError("trace values must be non-negative")
+        if not (np.all(np.isfinite(v)) and np.all(v >= 0.0)):
+            raise DomainError("trace values must be finite and non-negative")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -112,57 +123,39 @@ class EnergyBudget:
 def drive_samples(drive: DriveSpec) -> tuple[np.ndarray, np.ndarray]:
     """Sampled ideal square wave over all cycles, high first.
 
-    Transitions land exactly on sample boundaries so the integrator
-    never straddles a discontinuity.
+    Transitions land exactly on sample boundaries, so the drive is
+    constant over every sample interval.
     """
     spc = int(drive.samples_per_cycle)
     n = int(drive.cycles) * spc
-    high_samples = round(drive.duty * spc)
-    high_samples = min(max(high_samples, 1), spc - 1)
     pos = np.arange(n) % spc
-    values = np.where(pos < high_samples, drive.v_high, drive.v_low)
+    values = np.where(pos < drive.high_samples, drive.v_high, drive.v_low)
     times = np.arange(n) * (drive.period_ns / spc)
     return times, values.astype(float)
 
 
-def rc_response(drive: DriveSpec, t_grid: np.ndarray | None = None) -> TimeTrace:
-    """Line-filtered voltage: integrates tau dVf/dt = V(t) - Vf from
-    Vf(0) = v_low with classical fixed-step RK4, step <= tau/20.
+def rc_response(drive: DriveSpec) -> TimeTrace:
+    """Line-filtered voltage: the exact zero-order-hold solution of
+    tau dVf/dt = V(t) - Vf from Vf(0) = v_low.
+
+    The drive holds a level U over whole segments of samples (two per
+    cycle), so m samples into a segment that starts at Vf = y0 the
+    output is U + (y0 - U) exp(-m dt / tau), with no integration error.
 
     The fundamental harmonic of the steady-state output is attenuated by
     |H(f)| = (1 + (f/f_c)^2)^(-1/2) relative to the ideal square wave.
     """
-    if t_grid is None:
-        times, u = drive_samples(drive)
-    else:
-        times = np.asarray(t_grid, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise DomainError("t_grid must be a 1-D array with >= 2 samples")
-        if not np.allclose(np.diff(times), times[1] - times[0], rtol=1e-9, atol=0.0):
-            raise DomainError("t_grid must be uniform")
-        phase = (times / drive.period_ns) % 1.0
-        u = np.where(phase < drive.duty, drive.v_high, drive.v_low)
-
-    tau = drive.tau_ns
-    dt = times[1] - times[0]
-    substeps = max(1, math.ceil(dt / (tau / 20.0)))
-    h = dt / substeps
-
-    out = np.empty_like(u)
-    y = drive.v_low
-    out[0] = y
-    # Input is held constant across each sample interval, so every RK4
-    # substep sees a smooth (affine) right-hand side.
-    for i in range(len(u) - 1):
-        ui = u[i]
-        for _ in range(substeps):
-            k1 = (ui - y) / tau
-            k2 = (ui - (y + 0.5 * h * k1)) / tau
-            k3 = (ui - (y + 0.5 * h * k2)) / tau
-            k4 = (ui - (y + h * k3)) / tau
-            y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        out[i + 1] = y
-    return TimeTrace(times, out)
+    times = drive_samples(drive)[0]
+    spc = int(drive.samples_per_cycle)
+    high = drive.high_samples
+    decay = np.exp(-(np.arange(1, spc + 1) * (drive.period_ns / spc)) / drive.tau_ns)
+    out = np.empty(times.size + 1)
+    out[0] = drive.v_low
+    start = 0
+    for level, length in [(drive.v_high, high), (drive.v_low, spc - high)] * int(drive.cycles):
+        out[start + 1:start + length + 1] = level + (out[start] - level) * decay[:length]
+        start += length
+    return TimeTrace(times, out[:-1])
 
 
 def simulate_switching(
@@ -196,26 +189,11 @@ def simulate_switching(
     line = rc_response(drive)
     omega_probe = cqed.dot_freq if probe_freq is None else probe_freq
 
-    volts = line.values
-    detune = np.array([
-        voltage_to_detuning(elec, stark, v, screening=screening, field_sign=field_sign)
-        for v in volts
-    ])
-    omega_d = cqed.dot_freq + detune
-    if g_anchors is None:
-        g = np.full_like(volts, cqed.coupling)
-    else:
-        if len(g_anchors) < 2:
-            raise DomainError("g_anchors needs at least two points")
-        av = np.asarray([a[0] for a in g_anchors], dtype=float)
-        ag = np.asarray([a[1] for a in g_anchors], dtype=float)
-        if not np.all(np.diff(av) > 0.0):
-            raise DomainError("anchor voltages must be strictly increasing")
-        g = np.interp(volts, av, ag)
-
-    e = 1j * (omega_d - omega_probe) + cqed.dot_decay
-    d = 1j * (cqed.cavity_freq - omega_probe) + cqed.cavity_decay + g * g / e
-    intensity = cqed.background + cqed.amplitude * np.abs(cqed.cavity_decay / d) ** 2
+    detune = voltage_to_detuning(elec, stark, line.values, screening=screening,
+                                 field_sign=field_sign)
+    g = None if g_anchors is None else g_of_voltage(g_anchors, line.values)
+    intensity = reflectivity_model(cqed, omega_probe, dot_freq=cqed.dot_freq + detune,
+                                   coupling=g)
 
     skip = math.ceil(drive.cycles / 3) * int(drive.samples_per_cycle)
     return TimeTrace(line.times[skip:], intensity[skip:])
@@ -224,7 +202,7 @@ def simulate_switching(
 def on_off_ratio(trace: TimeTrace) -> float:
     """max/min intensity over the retained window; needs a positive floor."""
     lo = float(np.min(trace.values))
-    if lo <= 0.0:
+    if not lo > 0.0:
         raise DegenerateTraceError("trace minimum must be > 0 for an on/off ratio")
     return float(np.max(trace.values)) / lo
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.constants
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -16,6 +18,7 @@ from qdswitch import (
     voltage_to_detuning,
 )
 from qdswitch.constants import (
+    ANGULAR_GHZ_PER_MEV,
     ELEMENTARY_CHARGE_C,
     UM3_PER_CM3,
     VACUUM_PERMITTIVITY_F_UM,
@@ -175,3 +178,62 @@ def test_invalid_electrostatic_params():
         ElectrostaticParams(9e15, 0.36, 0.5, 0.75)
     with pytest.raises(DomainError, match="electrode_distance"):
         ElectrostaticParams(9e15, 0.36, 12.9, 0.0)
+
+
+# -- array field map against the per-point scalar map --------------------------
+
+def scalar_width(elec, v):
+    eps = VACUUM_PERMITTIVITY_F_UM * elec.relative_permittivity
+    nd_um3 = elec.donor_density_cm3 / UM3_PER_CM3
+    return math.sqrt(2.0 * eps * (elec.barrier_potential_v + v) / (ELEMENTARY_CHARGE_C * nd_um3))
+
+
+def scalar_field(elec, v):
+    x_d = scalar_width(elec, v)
+    if x_d <= elec.electrode_distance_um:
+        return 0.0
+    eps = VACUUM_PERMITTIVITY_F_UM * elec.relative_permittivity
+    nd_um3 = elec.donor_density_cm3 / UM3_PER_CM3
+    return ELEMENTARY_CHARGE_C * nd_um3 * (x_d - elec.electrode_distance_um) / eps
+
+
+def scalar_detuning(elec, coeffs, v, screening, sign):
+    field = sign * scalar_field(elec, v)
+    shift = (coeffs.dipole_mev_um_per_v * field
+             - coeffs.polarizability_mev_um2_per_v2 * field * field)
+    return ANGULAR_GHZ_PER_MEV * (screening * shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(biases=st.lists(st.floats(0.0, 40.0), max_size=40),
+       screening=st.floats(0.0, 1.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_array_field_map_equals_scalar_map_bit_for_bit(biases, screening, sign):
+    from qdswitch import ElectrostaticParams, StarkCoefficients
+    elec = ElectrostaticParams(9e15, 0.36, 12.9, 0.75)
+    coeffs = StarkCoefficients(-0.009, -0.015)
+    v_on = onset_voltage(elec)
+    volts = np.array([0.0, v_on, np.nextafter(v_on, 0.0), np.nextafter(v_on, 99.0), *biases])
+
+    cases = [
+        (depletion_width(elec, volts), [scalar_width(elec, v) for v in volts]),
+        (field_at_cavity(elec, volts), [scalar_field(elec, v) for v in volts]),
+        (voltage_to_detuning(elec, coeffs, volts, screening=screening, field_sign=sign),
+         [scalar_detuning(elec, coeffs, v, screening, sign) for v in volts]),
+    ]
+    for array_result, reference in cases:
+        assert array_result.tobytes() == np.array(reference).tobytes()
+
+    for v in volts[:6]:
+        got = voltage_to_detuning(elec, coeffs, float(v), screening=screening, field_sign=sign)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(
+            scalar_detuning(elec, coeffs, v, screening, sign)).tobytes()
+
+
+def test_array_field_map_rejects_any_negative_bias(device_elec, device_stark):
+    volts = np.array([0.0, 5.0, -1e-9, 7.0])
+    for fn in (lambda v: depletion_width(device_elec, v),
+               lambda v: field_at_cavity(device_elec, v),
+               lambda v: voltage_to_detuning(device_elec, device_stark, v)):
+        with pytest.raises(DomainError, match="v_reverse"):
+            fn(volts)

@@ -241,6 +241,14 @@ def test_contrast_fit_input_validation(device_elec, device_stark, device_cqed):
                      device_cqed)
 
 
+@pytest.mark.parametrize("target", [(10.0, math.nan), (10.0, math.inf),
+                                    (math.nan, 1.5), (math.inf, 1.5)])
+def test_contrast_fit_rejects_non_finite_targets(device_elec, device_stark, device_cqed,
+                                                 target):
+    with pytest.raises(DomainError, match="finite"):
+        fit_contrast([target, (14.0, 2.0)], device_elec, device_stark, device_cqed)
+
+
 # -- optimizer ----------------------------------------------------------------------
 
 def test_lm_reports_non_convergence():

@@ -122,6 +122,45 @@ def test_format_value_kinds():
     assert format_value("weak") == "weak"
 
 
+def test_write_csv_bytes_match_per_value_formatting(tmp_path):
+    from qdswitch.csvio import WRITE_CHUNK_ROWS
+    rng = np.random.default_rng(11)
+    n = 2 * WRITE_CHUNK_ROWS + 37
+    floats = (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)).tolist()
+    kinds = [
+        lambda i: floats[i],
+        lambda i: np.float64(floats[i]),
+        lambda i: i - 5,
+        lambda i: np.int64(i),
+        lambda i: i % 3 == 0,
+        lambda i: np.bool_(i % 2),
+        lambda i: f"row{i}",
+        lambda i: -0.0 if i % 7 == 0 else 1e-300,
+    ]
+    header = [f"c{k}" for k in range(len(kinds))]
+    rows = [tuple(kind(i) for kind in kinds) for i in range(n)]
+    path = write_csv(tmp_path / "mixed.csv", header, iter(rows))
+
+    lines = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_write_csv_bad_row_leaves_no_file(tmp_path):
+    from qdswitch import DomainError
+    rows = [(1.0, 2.0)] * 5000 + [(1.0,)]
+    with pytest.raises(DomainError, match="width"):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], rows)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_sha256_file_spans_several_blocks(tmp_path):
+    from qdswitch.manifest import HASH_BLOCK_BYTES, sha256_file
+    data = np.random.default_rng(5).bytes(2 * HASH_BLOCK_BYTES + 123)
+    path = tmp_path / "blob.bin"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
 # -- spectrum ingestion ----------------------------------------------------------
 
 def test_ingest_wavelength_mode_conversion(tmp_path):
@@ -329,6 +368,20 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error_code"] == 1
     assert "mystery" in record["message"]
+
+
+@pytest.mark.parametrize("key, value", [("v_high_v", "inf"), ("drive_mhz", "nan"),
+                                        ("contrast_targets", "10:nan, 14:2")])
+def test_cli_non_finite_value_names_its_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("switch", "--preset", "paper", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "ConfigError"
+    assert key in record["message"]
+    assert not (out / "switch_trace.csv").exists()
 
 
 def test_cli_exit_code_numeric_error(tmp_path, capsys):

@@ -79,6 +79,31 @@ def test_rc_step_response_matches_analytic():
     assert max_err < 1e-4 * 10.0
 
 
+def zoh_reference(drive):
+    """Sample-by-sample exact solution: within each constant-drive segment
+    the line relaxes as U + (y0 - U) exp(-(t - t0)/tau)."""
+    _, u = drive_samples(drive)
+    dt = drive.period_ns / drive.samples_per_cycle
+    out = [drive.v_low]
+    start, y0 = 0, drive.v_low
+    for i in range(1, len(u)):
+        if u[i - 1] != u[start]:
+            start, y0 = i - 1, out[i - 1]
+        level = float(u[start])
+        out.append(level + (y0 - level) * math.exp(-((i - start) * dt) / drive.tau_ns))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("drive", [
+    DriveSpec(0.0, 10.0, 150.0),
+    DriveSpec(0.0, 12.0, 10.0, cycles=3, samples_per_cycle=4096),
+    DriveSpec(1.0, 9.0, 250.0, duty=0.3, rc_cutoff_mhz=40.0, cycles=5),
+])
+def test_rc_matches_per_segment_exponential(drive):
+    values = rc_response(drive).values
+    assert np.max(np.abs(values - zoh_reference(drive))) <= 1e-12
+
+
 def test_rc_starts_from_low_rail():
     d = DriveSpec(1.0, 9.0, 50.0)
     assert rc_response(d).values[0] == 1.0
@@ -99,6 +124,18 @@ def test_drive_spec_validation():
         DriveSpec(0.0, 10.0, 100.0, cycles=2)
     with pytest.raises(DomainError):
         DriveSpec(0.0, 10.0, 100.0, samples_per_cycle=32)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name, field", [
+    ("v_low", "v_low"), ("v_high", "v_high"),
+    ("drive_frequency", "frequency_mhz"), ("rc_cutoff", "rc_cutoff_mhz"),
+])
+def test_drive_spec_rejects_non_finite_values(name, field, bad):
+    kwargs = {"v_low": 0.0, "v_high": 10.0, "frequency_mhz": 100.0, "rc_cutoff_mhz": 100.0}
+    kwargs[field] = bad
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        DriveSpec(**kwargs)
 
 
 # -- quasi-static switching ---------------------------------------------------
@@ -214,3 +251,9 @@ def test_time_trace_validation():
         TimeTrace(np.array([0.0, 1.0, 1.5]), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(DomainError):
         TimeTrace(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_time_trace_rejects_non_finite_values(bad):
+    with pytest.raises(DomainError, match="finite"):
+        TimeTrace(np.array([0.0, 1.0, 2.0]), np.array([1.0, bad, 1.0]))
