@@ -8,6 +8,7 @@ byte-identical across reruns of the same configuration.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -60,7 +61,8 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
     return path
 
 
-def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], list[list[float]]]:
+def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.ndarray]:
+    """Header names and one contiguous float array per column."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"data file not found: {path}")
@@ -72,8 +74,17 @@ def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], list
     if len(header) != expected_columns:
         raise IngestError(
             f"{path}: expected {expected_columns} columns, header has {len(header)}")
+    body = lines[1:]
+    if not body:
+        raise IngestError(f"{path}: no data rows")
+    with suppress(ValueError):
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if values.shape[1] == expected_columns:
+            return header, values.T.copy()
+    # Row by row: names the first malformed line (counting non-blank lines)
+    # and reads any number syntax float() accepts but loadtxt does not.
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         parts = line.split(",")
         if len(parts) != expected_columns:
             raise IngestError(f"{path}:{lineno}: expected {expected_columns} values")
@@ -81,9 +92,7 @@ def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], list
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: non-numeric value") from exc
-    if not rows:
-        raise IngestError(f"{path}: no data rows")
-    return header, rows
+    return header, np.array(rows).T.copy()
 
 
 def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float = 935.0) -> Spectrum:
@@ -94,14 +103,12 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float = 935.0
     lambda0^2; 'detuning_GHz' values are ordinary GHz.  Duplicate grid
     points must agree in intensity, otherwise the file is rejected.
     """
-    header, rows = _read_rows(path, 2)
+    header, (x, y) = _read_rows(path, 2)
     mode = header[0]
     if mode not in (SPECTRUM_WAVELENGTH_HEADER, SPECTRUM_DETUNING_HEADER):
         raise IngestError(
             f"{path}: first column must be '{SPECTRUM_WAVELENGTH_HEADER}' or "
             f"'{SPECTRUM_DETUNING_HEADER}', got '{mode}'")
-    x = np.array([r[0] for r in rows])
-    y = np.array([r[1] for r in rows])
     if np.any(y < 0.0):
         bad = int(np.argmax(y < 0.0)) + 2
         raise IngestError(f"{path}:{bad}: negative intensity")
@@ -113,28 +120,25 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float = 935.0
 
     order = np.argsort(x, kind="stable")
     x, y = x[order], y[order]
-    keep_x, keep_y = [x[0]], [y[0]]
-    for xi, yi in zip(x[1:], y[1:]):
-        if xi == keep_x[-1] or abs(xi - keep_x[-1]) <= 1e-12 * max(abs(xi), 1.0):
-            if abs(yi - keep_y[-1]) > 1e-9 * max(abs(yi), abs(keep_y[-1]), 1.0):
-                raise IngestError(
-                    f"{path}: conflicting intensities for duplicated grid point")
-            continue
-        keep_x.append(xi)
-        keep_y.append(yi)
+    # A point within 1e-12 (relative) of its sorted predecessor repeats it;
+    # a run of such points is one grid point, kept at its first member.
+    repeat = np.append(False, np.abs(np.diff(x)) <= 1e-12 * np.maximum(np.abs(x[1:]), 1.0))
+    y_kept = y[np.maximum.accumulate(np.where(repeat, 0, np.arange(x.size)))]
+    tol = 1e-9 * np.maximum(np.maximum(np.abs(y), np.abs(y_kept)), 1.0)
+    if np.any(repeat & (np.abs(y - y_kept) > tol)):
+        raise IngestError(f"{path}: conflicting intensities for duplicated grid point")
     try:
-        return Spectrum(np.array(keep_x), np.array(keep_y))
+        return Spectrum(x[~repeat], y[~repeat])
     except DomainError as exc:
         raise IngestError(f"{path}: {exc}") from exc
 
 
 def ingest_shift_csv(path: Path | str) -> ShiftDataset:
     """Read (voltage_V, shift_meV) rows into a ShiftDataset."""
-    header, rows = _read_rows(path, 2)
+    header, (volts, shifts) = _read_rows(path, 2)
     if header[0] != "voltage_V" or header[1] != "shift_meV":
         raise IngestError(f"{path}: expected header 'voltage_V,shift_meV'")
     try:
-        return ShiftDataset(np.array([r[0] for r in rows]),
-                            np.array([r[1] for r in rows]))
+        return ShiftDataset(volts, shifts)
     except DomainError as exc:
         raise IngestError(f"{path}: {exc}") from exc

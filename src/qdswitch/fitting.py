@@ -270,6 +270,11 @@ def _unpack(params: CqedParams, free: Sequence[str], x: np.ndarray) -> CqedParam
     return replace(params, **updates)
 
 
+def _log_scales(params: CqedParams, names: Sequence[str]) -> np.ndarray:
+    """d p / d x per free parameter (chain rule to the log-scaled coordinates)."""
+    return np.array([getattr(params, n) if n in _LOG_SCALE_PARAMS else 1.0 for n in names])
+
+
 def reflectivity_model_jacobian(params: CqedParams, detunings, names: Sequence[str]) -> np.ndarray:
     """Analytic d I / d p of the reflectivity model, columns in natural units.
 
@@ -333,12 +338,7 @@ def fit_spectrum(
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         p = _unpack(initial, names, x)
-        j = reflectivity_model_jacobian(p, grid, names)
-        # chain rule to the log-scaled coordinates
-        for k, name in enumerate(names):
-            if name in _LOG_SCALE_PARAMS:
-                j[:, k] *= getattr(p, name)
-        return j
+        return reflectivity_model_jacobian(p, grid, names) * _log_scales(p, names)
 
     x0 = _pack(initial, names)
     x, residual_norm, converged, iterations, jtj = _levenberg_marquardt(
@@ -348,10 +348,8 @@ def fit_spectrum(
     cov = _covariance_diag(jtj, residual_norm, len(spectrum))
     cov_out = None
     if cov is not None:
-        cov_out = {}
-        for k, name in enumerate(names):
-            scale = getattr(fitted, name) if name in _LOG_SCALE_PARAMS else 1.0
-            cov_out[name] = float(cov[k] * scale ** 2)
+        scales = _log_scales(fitted, names).tolist()
+        cov_out = {name: float(c * s ** 2) for name, c, s in zip(names, cov, scales)}
 
     return FitResult(
         parameters={name: float(getattr(fitted, name)) for name in _CQED_FIELDS},

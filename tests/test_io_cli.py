@@ -212,6 +212,39 @@ def test_ingest_reports_bad_row_number(tmp_path):
         ingest_spectrum_csv(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1.0,2.0\n3.0\n4.0,x\n", "bad.csv:3: expected 2 values"),
+    ("1.0,2.0\n4.0,x\n3.0\n", "bad.csv:3: non-numeric value"),
+    ("1.0,2.0,9.0\n3.0,4.0,9.0\n", "bad.csv:2: expected 2 values"),
+])
+def test_ingest_names_first_malformed_row(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("detuning_GHz,intensity\n" + body, encoding="utf-8")
+    with pytest.raises(IngestError, match=message):
+        ingest_spectrum_csv(path)
+
+
+def test_ingest_reads_every_float_syntax(tmp_path):
+    # "1_0" and " 2 " are valid float() input that numpy's text parser
+    # may reject; either way they are read like float() reads them.
+    path = tmp_path / "s.csv"
+    path.write_text("voltage_V,shift_meV\n1_0, 2 \n\n12.5,-0.25\n", encoding="utf-8")
+    data = ingest_shift_csv(path)
+    assert data.voltages.tolist() == [10.0, 12.5]
+    assert data.shifts_mev.tolist() == [2.0, -0.25]
+    assert data.voltages.flags.c_contiguous
+
+
+def test_ingest_merges_grid_points_within_tolerance(tmp_path):
+    x = 100.0
+    near = x * (1.0 + 5e-13)
+    path = write_csv(tmp_path / "d.csv", ["detuning_GHz", "intensity"],
+                     [(x, 1.0), (near, 1.0 + 1e-12), (-x, 0.5), (x, 1.0)])
+    spec = ingest_spectrum_csv(path)
+    assert spec.detunings.tolist() == [-TWO_PI * x, TWO_PI * x]
+    assert spec.intensities.tolist() == [0.5, 1.0]
+
+
 def test_ingest_rejects_unknown_header(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["frequency_THz", "intensity"],
                      [(1.0, 1.0)])
