@@ -49,6 +49,10 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
 
+# A calibration is applied only when it converged and its residual norm
+# (in on/off-ratio units) is at most this fraction of the largest target.
+CALIBRATION_RESIDUAL_REL = 1e-6
+
 
 def _preset_path(name: str) -> Path:
     candidate = resources.files("qdswitch").joinpath("presets", f"{name}.cfg")
@@ -96,7 +100,8 @@ def _calibrated_cqed(cfg: RunConfig):
 
     Returns (cqed, screening, calibration FitResult or None).  The
     calibration holds the coupling at its configured value; fitted
-    dot_decay and screening replace the configured ones.
+    dot_decay and screening replace the configured ones.  A calibration
+    that did not converge or misses its targets raises ConfigError.
     """
     cqed = cfg.cqed_params()
     targets = cfg["contrast_targets"]
@@ -104,6 +109,12 @@ def _calibrated_cqed(cfg: RunConfig):
         return cqed, cfg.screening(), None
     result = fit_contrast(targets, cfg.electrostatic_params(), cfg.stark_coefficients(),
                           cqed, field_sign=cfg["field_sign"])
+    limit = CALIBRATION_RESIDUAL_REL * max(ratio for _, ratio in targets)
+    if not (result.converged and result.residual_norm <= limit):
+        raise ConfigError(
+            f"contrast_targets cannot be reached by the model: calibration "
+            f"converged = {result.converged}, residual_norm = {result.residual_norm!r} "
+            f"(limit {limit!r})")
     cqed = replace(cqed, dot_decay=result.parameters["dot_decay"])
     return cqed, result.parameters["screening"], result
 
@@ -145,9 +156,9 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
     grid = cfg.detuning_grid()
     refl = reflectivity_spectrum(cqed, grid)
     pl = pl_spectrum(cqed, grid)
-    rows = zip((grid / TWO_PI).tolist(), refl.intensities.tolist(), pl.intensities.tolist())
     out = write_csv(Path(args.out) / "spectrum.csv",
-                    ["detuning_GHz", "reflectivity", "pl"], rows)
+                    ["detuning_GHz", "reflectivity", "pl"],
+                    np.column_stack([grid / TWO_PI, refl.intensities, pl.intensities]))
     _finish(cfg, args, "spectrum", [out], {"summary.bias_V": bias})
     print(f"points = {len(refl)}")
     return EXIT_OK
@@ -165,7 +176,7 @@ def _cmd_switch(cfg: RunConfig, args) -> int:
     ratio = on_off_ratio(trace)
     trace_path = write_csv(Path(args.out) / "switch_trace.csv",
                            ["time_ns", "intensity"],
-                           zip(trace.times.tolist(), trace.values.tolist()))
+                           np.column_stack([trace.times, trace.values]))
     summary_rows = [
         ("drive_MHz", drive.frequency_mhz, "MHz"),
         ("on_off_ratio", ratio, "dimensionless"),

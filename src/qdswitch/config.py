@@ -26,9 +26,12 @@ from .switching import DriveSpec
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got '{text}'") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got '{text}'")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -280,9 +283,9 @@ def _validate(cfg: RunConfig) -> None:
     cfg.detuning_grid()
     cfg.screening()
     for v, ratio in cfg["contrast_targets"]:
-        if not (math.isfinite(v) and math.isfinite(ratio) and ratio >= 1.0 and v >= 0.0):
+        if not (ratio >= 1.0 and v >= 0.0):
             raise ConfigError(
-                f"contrast_targets entries need finite V >= 0 and ratio >= 1, got {v}:{ratio}")
+                f"contrast_targets entries need V >= 0 and ratio >= 1, got {v}:{ratio}")
     if cfg["active_volume_um3"] <= 0.0:
         raise ConfigError("active_volume (key active_volume_um3) must be > 0")
     if cfg["energy_field_v_per_um"] < 0.0:

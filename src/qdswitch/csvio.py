@@ -37,28 +37,63 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def write_csv(path: Path | str, header: Sequence[str],
+              rows: Iterable[Sequence] | np.ndarray) -> Path:
     """Write rows under a mandatory header, WRITE_CHUNK_ROWS at a time;
-    returns the path.  Values are formatted by format_value, Python floats
-    (array columns passed as .tolist()) by a direct repr.  A row of the
-    wrong width raises and leaves no file behind."""
+    returns the path.  Values are formatted by format_value.  rows may be
+    a 2-D array with one column per header name; a float array is
+    formatted column by column with the same bytes.  A row of the wrong
+    width, or an array of the wrong shape, raises and leaves no file."""
     if not header:
         raise DomainError("CSV header must not be empty")
     path = Path(path)
     width = len(header)
-    rows = iter(rows)
+    if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != width):
+        raise DomainError(f"CSV array of shape {rows.shape} does not match "
+                          f"a {width}-column header")
     try:
         with path.open("w", encoding="utf-8") as f:
             f.write(",".join(header) + "\n")
-            while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
-                if any(len(row) != width for row in chunk):
-                    raise DomainError("CSV row width differs from header")
-                f.write("".join([",".join([repr(v) if type(v) is float else format_value(v)
-                                           for v in row]) + "\n" for row in chunk]))
+            if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+                _write_float_columns(f, rows)
+            else:
+                _write_rows(f, iter(rows), width)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
     return path
+
+
+def _write_rows(f, rows, width: int) -> None:
+    while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
+        if any(len(row) != width for row in chunk):
+            raise DomainError("CSV row width differs from header")
+        f.write("".join([",".join(map(format_value, row)) + "\n" for row in chunk]))
+
+
+def _write_float_columns(f, table: np.ndarray) -> None:
+    columns = [_column_text(column) for column in np.asarray(table, dtype=np.float64).T]
+    for start in range(0, table.shape[0], WRITE_CHUNK_ROWS):
+        stop = start + WRITE_CHUNK_ROWS
+        cells = [text(start, stop) for text in columns]
+        f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _column_text(column: np.ndarray):
+    """(start, stop) -> repr of each value in column[start:stop].
+
+    Distinct values are found by bit pattern, so -0.0 and 0.0 stay apart.
+    A column with many repeats (at most half its values distinct, as in a
+    periodic steady-state trace) formats each distinct value once and
+    indexes that table; a column of mostly distinct values (a time axis)
+    is formatted chunk by chunk, so no whole-column string table is held.
+    """
+    column = np.ascontiguousarray(column)
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if 2 * distinct.size > column.size:
+        return lambda start, stop: list(map(repr, column[start:stop].tolist()))
+    table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return lambda start, stop: table[inverse[start:stop]].tolist()
 
 
 def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.ndarray]:

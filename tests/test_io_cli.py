@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdswitch import ConfigError, IngestError
+from qdswitch import ConfigError, DomainError, IngestError
 from qdswitch.cli import main
 from qdswitch.config import parse_config
 from qdswitch.constants import GHZ_PER_MEV
 from qdswitch.csvio import (
+    WRITE_CHUNK_ROWS,
     format_value,
     ingest_shift_csv,
     ingest_spectrum_csv,
@@ -143,6 +146,51 @@ def test_write_csv_bytes_match_per_value_formatting(tmp_path):
 
     lines = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Values at the edges of repr's output forms: signed zeros, subnormals, the
+# switch to exponent notation below 1e-4 and from 1e16, and non-finite.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1e-4, 9.999999999999999e-05, 1e-5, 1.0000000000000001e-05,
+               1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16,
+               math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def float_tables(draw):
+    """2-D float64 arrays whose columns are either drawn from a small pool
+    (heavy repeats) or mostly distinct across many magnitudes."""
+    n = draw(st.sampled_from([1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1,
+                              2 * WRITE_CHUNK_ROWS + 37]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = np.array(draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(),
+                                      min_size=1, max_size=30)))
+        if draw(st.booleans()):
+            column = rng.choice(pool, n)
+        else:
+            column = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+            sprinkled = rng.random(n) < 0.1
+            column[sprinkled] = rng.choice(pool, int(sprinkled.sum()))
+        columns.append(column)
+    return np.column_stack(columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=float_tables())
+def test_write_csv_float_array_bytes_match_per_value_formatting(tmp_path_factory, table):
+    header = [f"c{k}" for k in range(table.shape[1])]
+    path = write_csv(tmp_path_factory.mktemp("arr") / "t.csv", header, table)
+    lines = [",".join(header)] + [",".join(map(format_value, row)) for row in table.tolist()]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 1), (5, 2, 1)])
+def test_write_csv_array_of_wrong_shape_leaves_no_file(tmp_path, shape):
+    with pytest.raises(DomainError, match="shape"):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], np.zeros(shape))
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_write_csv_bad_row_leaves_no_file(tmp_path):
@@ -315,6 +363,39 @@ def test_cli_spectrum_and_metrics(tmp_path):
     assert float(rows["onset_voltage_V"]) == pytest.approx(3.19, abs=0.01)
 
 
+def test_cli_array_outputs_match_per_value_formatting(tmp_path):
+    from qdswitch import pl_spectrum, reflectivity_spectrum, simulate_switching
+    from qdswitch.cli import _calibrated_cqed, _preset_path
+    long_cfg = tmp_path / "long.cfg"
+    long_cfg.write_text("cycles = 6\nsamples_per_cycle = 4096\ndrive_mhz = 10\n",
+                        encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("switch", "--preset", "paper", "--config", str(long_cfg),
+                   "--out", str(out)) == 0
+    assert run_cli("spectrum", "--preset", "paper", "--out", str(out)) == 0
+
+    cfg = parse_config(_preset_path("paper"), long_cfg)
+    cqed, screening, _ = _calibrated_cqed(cfg)
+    trace = simulate_switching(
+        cfg.drive_spec(), cfg.electrostatic_params(), cfg.stark_coefficients(), cqed,
+        screening=screening, probe_freq=cqed.dot_freq + TWO_PI * cfg["probe_detuning_ghz"],
+        field_sign=cfg["field_sign"])
+    # several chunks, and a settled steady state that repeats each cycle
+    assert trace.times.size > 2 * WRITE_CHUNK_ROWS
+    assert 2 * np.unique(trace.values).size < trace.values.size
+    lines = ["time_ns,intensity"] + [f"{format_value(t)},{format_value(v)}"
+                                     for t, v in zip(trace.times, trace.values)]
+    assert (out / "switch_trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    grid = cfg.detuning_grid()
+    cqed = cfg.cqed_params()
+    rows = write_csv(tmp_path / "rows.csv", ["detuning_GHz", "reflectivity", "pl"],
+                     zip((grid / TWO_PI).tolist(),
+                         reflectivity_spectrum(cqed, grid).intensities.tolist(),
+                         pl_spectrum(cqed, grid).intensities.tolist()))
+    assert (out / "spectrum.csv").read_bytes() == rows.read_bytes()
+
+
 def test_cli_outputs_byte_identical_across_reruns(tmp_path):
     digests = []
     for name in ("a", "b"):
@@ -404,7 +485,10 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("v_high_v", "inf"), ("drive_mhz", "nan"),
-                                        ("contrast_targets", "10:nan, 14:2")])
+                                        ("contrast_targets", "10:nan, 14:2"),
+                                        ("v_step", "nan"), ("probe_detuning_ghz", "nan"),
+                                        ("phi_v", "inf"), ("g_ghz", "nan"),
+                                        ("detuning_start_ghz", "nan")])
 def test_cli_non_finite_value_names_its_key(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
@@ -415,6 +499,24 @@ def test_cli_non_finite_value_names_its_key(tmp_path, capsys, key, value):
     assert record["error_class"] == "ConfigError"
     assert key in record["message"]
     assert not (out / "switch_trace.csv").exists()
+
+
+def test_cli_switch_refuses_unreachable_contrast_targets(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("contrast_targets = 10:50, 14:1.01\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("switch", "--preset", "paper", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "ConfigError"
+    assert "contrast_targets" in record["message"]
+    assert not (out / "switch_trace.csv").exists()
+    # the fit itself still reports how far it got
+    assert run_cli("fit", "--kind", "contrast", "--preset", "paper", "--config", str(cfg),
+                   "--out", str(tmp_path / "fit")) == 0
+    rows = dict(line.split(",")[:2] for line in
+                (tmp_path / "fit" / "fit_report.csv").read_text().splitlines()[1:])
+    assert float(rows["residual_norm"]) > 1.0
 
 
 def test_cli_exit_code_numeric_error(tmp_path, capsys):
