@@ -129,8 +129,8 @@ def _cmd_stark(cfg: RunConfig, args) -> int:
     limit = cfg["fit_field_limit_v_per_um"]
     volts = cfg.voltage_grid()
     fields = field_at_cavity(elec, volts)
-    rows = zip(volts.tolist(), depletion_width(elec, volts).tolist(), fields.tolist(),
-               stark_shift(coeffs, sign * fields).tolist(), (fields > limit).tolist())
+    rows = zip(volts, depletion_width(elec, volts), fields,
+               stark_shift(coeffs, sign * fields), fields > limit)
     out = write_csv(Path(args.out) / "stark.csv",
                     ["voltage_V", "x_d_um", "field_V_per_um", "shift_meV", "extrapolated"],
                     rows)

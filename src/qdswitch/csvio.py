@@ -25,6 +25,8 @@ SPECTRUM_DETUNING_HEADER = "detuning_GHz"
 
 # Rows formatted and written per file write; bounds the text held in memory.
 WRITE_CHUNK_ROWS = 4096
+# Exact value types whose format_value text is float.__repr__ of the value.
+_REPR_TYPES = {float, np.float64}
 
 
 def format_value(value) -> str:
@@ -40,10 +42,11 @@ def format_value(value) -> str:
 def write_csv(path: Path | str, header: Sequence[str],
               rows: Iterable[Sequence] | np.ndarray) -> Path:
     """Write rows under a mandatory header, WRITE_CHUNK_ROWS at a time;
-    returns the path.  Values are formatted by format_value.  rows may be
-    a 2-D array with one column per header name; a float array is
-    formatted column by column with the same bytes.  A row of the wrong
-    width, or an array of the wrong shape, raises and leaves no file."""
+    returns the path.  Values are formatted by format_value, column by
+    column within each chunk, with the same bytes as value by value.  rows
+    may be a 2-D array with one column per header name; a float array
+    formats each distinct value of a repetitive column once.  A row of the
+    wrong width, or an array of the wrong shape, raises and leaves no file."""
     if not header:
         raise DomainError("CSV header must not be empty")
     path = Path(path)
@@ -68,15 +71,27 @@ def _write_rows(f, rows, width: int) -> None:
     while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
         if any(len(row) != width for row in chunk):
             raise DomainError("CSV row width differs from header")
-        f.write("".join([",".join(map(format_value, row)) + "\n" for row in chunk]))
+        _write_cells(f, [_format_column(column) for column in zip(*chunk)])
+
+
+def _format_column(column: tuple) -> list[str]:
+    """format_value of each value, with the formatter chosen once per column:
+    float.__repr__ gives repr(float(v)) for a float or np.float64 value."""
+    if set(map(type, column)) <= _REPR_TYPES:
+        return list(map(float.__repr__, column))
+    return list(map(format_value, column))
 
 
 def _write_float_columns(f, table: np.ndarray) -> None:
     columns = [_column_text(column) for column in np.asarray(table, dtype=np.float64).T]
     for start in range(0, table.shape[0], WRITE_CHUNK_ROWS):
         stop = start + WRITE_CHUNK_ROWS
-        cells = [text(start, stop) for text in columns]
-        f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        _write_cells(f, [text(start, stop) for text in columns])
+
+
+def _write_cells(f, cells: list[list[str]]) -> None:
+    """Write one chunk given as formatted columns of equal length."""
+    f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _column_text(column: np.ndarray):

@@ -56,7 +56,8 @@ class FitResult:
 
     parameters holds every model parameter (fitted and held) in natural
     units; covariance_diag gives per-parameter variance estimates for
-    the free ones when the normal matrix is invertible.
+    the free ones when the normal matrix is invertible and every
+    variance is finite and positive, and is None otherwise.
     """
 
     parameters: dict[str, float]
@@ -172,14 +173,20 @@ def _fd_jacobian(residual: Callable[[np.ndarray], np.ndarray]):
 
 
 def _covariance_diag(jtj: np.ndarray, residual_norm: float, n_points: int) -> np.ndarray | None:
+    """Parameter variances from the Gauss-Newton normal matrix, or None when
+    they are undefined: no residual degrees of freedom, a singular matrix,
+    or any variance that is not finite and positive."""
     dof = n_points - jtj.shape[0]
     if dof <= 0:
         return None
     try:
-        cov = np.linalg.inv(jtj) * (residual_norm ** 2 / dof)
+        with np.errstate(all="ignore"):
+            diag = np.diag(np.linalg.inv(jtj)) * (residual_norm ** 2 / dof)
     except np.linalg.LinAlgError:
         return None
-    return np.diag(cov).copy()
+    if not np.all(np.isfinite(diag) & (diag > 0.0)):
+        return None
+    return diag
 
 
 # ---------------------------------------------------------------------------

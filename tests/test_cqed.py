@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,23 @@ def test_far_detuned_dot_recovers_bare_cavity():
 def test_reflectivity_rejects_empty_grid(device_cqed):
     with pytest.raises(DomainError):
         reflectivity_spectrum(device_cqed, np.array([]))
+
+
+@pytest.mark.parametrize("spectrum", [reflectivity_spectrum, pl_spectrum])
+@pytest.mark.parametrize("grid, message", [
+    ([], "non-empty 1-D"),
+    ([[1.0, 2.0]], "non-empty 1-D"),
+    (3.0, "non-empty 1-D"),
+    ([1.0, 1.0], "strictly increasing"),
+    ([1.0, math.nan, 3.0], "strictly increasing"),
+    ([math.nan], "finite"),
+    ([1.0, math.inf], "finite"),
+])
+def test_spectra_reject_bad_grids_without_warnings(device_cqed, spectrum, grid, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            spectrum(device_cqed, grid)
 
 
 def test_spectra_non_negative_everywhere():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from qdswitch import (
     reflectivity_spectrum,
     stark_model,
 )
-from qdswitch.fitting import _levenberg_marquardt
+from qdswitch.fitting import _covariance_diag, _levenberg_marquardt
 
 TWO_PI = 2.0 * math.pi
 ALL_NAMES = ["cavity_freq", "dot_freq", "coupling", "cavity_decay",
@@ -269,3 +270,24 @@ def test_lm_converges_on_rosenbrock_style_problem():
     assert converged
     assert norm < 1e-8
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-6)
+
+
+# -- parameter variances -------------------------------------------------------
+
+def test_covariance_diag_scales_the_inverse_normal_matrix():
+    # dof = 11 - 2 = 9 and residual_norm^2 = 9: the scale is exactly 1
+    np.testing.assert_array_equal(_covariance_diag(np.diag([2.0, 4.0]), 3.0, 11), [0.5, 0.25])
+
+
+@pytest.mark.parametrize("jtj, residual_norm", [
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0),       # a negative direction
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0),       # an exactly singular direction
+    (np.diag([1.0, -1.0, 1e-320]), 1.0),             # negative and numerically singular
+    (np.diag([1.0, 1e-320]), 0.0),                   # infinite variance times zero
+    (np.diag([1.0, 2.0]), 0.0),                      # zero variances
+])
+def test_covariance_diag_is_none_unless_every_variance_is_finite_and_positive(
+        jtj, residual_norm):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _covariance_diag(jtj, residual_norm, 10) is None

@@ -186,6 +186,68 @@ def test_write_csv_float_array_bytes_match_per_value_formatting(tmp_path_factory
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
+ROW_KINDS = ["float", "float64", "float32", "int", "int64", "bool", "bool_", "str"]
+# "floats": float or np.float64 per value; "mixed": any of ROW_KINDS per value.
+CHUNK_KINDS = ROW_KINDS + ["floats", "mixed"]
+
+
+def row_column(chunk_kinds, n, rng):
+    """n values of one column; chunk c holds values of kind chunk_kinds[c]."""
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    edge = rng.random(n) < 0.1
+    floats[edge] = rng.choice(EDGE_FLOATS, int(edge.sum()))
+    with np.errstate(over="ignore"):
+        floats32 = floats.astype(np.float32)
+    ints = rng.integers(-2 ** 62, 2 ** 62, n)
+    by_kind = {
+        "float": floats.tolist(),
+        "float64": list(floats),
+        "float32": list(floats32),
+        "int": ints.tolist(),
+        "int64": list(ints),
+        "bool": (ints % 2 == 0).tolist(),
+        "bool_": list(ints % 3 == 0),
+        "str": [f"s{i}" for i in ints.tolist()],
+    }
+    picks = {"floats": rng.integers(2, size=n), "mixed": rng.integers(len(ROW_KINDS), size=n)}
+    column = []
+    for c, kind in enumerate(chunk_kinds):
+        for i in range(c * WRITE_CHUNK_ROWS, min((c + 1) * WRITE_CHUNK_ROWS, n)):
+            column.append(by_kind[ROW_KINDS[picks[kind][i]] if kind in picks else kind][i])
+    return column
+
+
+@st.composite
+def row_tables(draw):
+    """Rows whose columns change value kinds from one write chunk to the next."""
+    n = draw(st.sampled_from([1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1,
+                              2 * WRITE_CHUNK_ROWS + 37]))
+    chunks = -(-n // WRITE_CHUNK_ROWS)
+    plan = draw(st.lists(st.lists(st.sampled_from(CHUNK_KINDS), min_size=chunks,
+                                  max_size=chunks), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return list(zip(*(row_column(kinds, n, rng) for kinds in plan)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=row_tables(), bad_offset=st.integers(0, 36), bad_width=st.sampled_from([-1, 1]))
+def test_write_csv_rows_bytes_match_per_value_formatting(tmp_path_factory, rows,
+                                                         bad_offset, bad_width):
+    header = [f"c{k}" for k in range(len(rows[0]))]
+    path = tmp_path_factory.mktemp("rows") / "t.csv"
+    write_csv(path, header, iter(rows))
+    lines = [",".join(header)] + [",".join(map(format_value, row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    if len(rows) > WRITE_CHUNK_ROWS:
+        path.unlink()
+        bad = WRITE_CHUNK_ROWS + bad_offset % (len(rows) - WRITE_CHUNK_ROWS)
+        wrong = (rows[bad] + rows[bad])[:len(header) + bad_width]
+        with pytest.raises(DomainError, match="width"):
+            write_csv(path, header, iter(rows[:bad] + [wrong] + rows[bad + 1:]))
+        assert not path.exists()
+
+
 @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 1), (5, 2, 1)])
 def test_write_csv_array_of_wrong_shape_leaves_no_file(tmp_path, shape):
     with pytest.raises(DomainError, match="shape"):
