@@ -216,16 +216,18 @@ class RunConfig:
 
 def _build(cls, mapping: dict[str, tuple[str, Any]]):
     """Construct a validated domain object, rewrapping DomainErrors so the
-    message carries the offending config key next to the semantic field."""
+    message carries the key of its subject: the field it names first."""
     kwargs = {name: value for name, (_, value) in mapping.items()}
     try:
         return cls(**kwargs)
     except DomainError as exc:
         msg = str(exc)
-        for _, (key, _) in mapping.items():
-            semantic = _KEYS[key][2] if key in _KEYS else key
-            if semantic in msg:
-                raise ConfigError(f"{msg} (config key {key})") from exc
+        hits = [(msg.find(_KEYS[key][2] if key in _KEYS else key), key)
+                for _, (key, _) in mapping.items()]
+        hits = [hit for hit in hits if hit[0] >= 0]
+        if hits:
+            key = min(hits, key=lambda hit: hit[0])[1]
+            raise ConfigError(f"{msg} (config key {key})") from exc
         keys = "/".join(key for _, (key, _) in mapping.items())
         raise ConfigError(f"{msg} (config keys {keys})") from exc
 
@@ -286,6 +288,8 @@ def _validate(cfg: RunConfig) -> None:
         if not (ratio >= 1.0 and v >= 0.0):
             raise ConfigError(
                 f"contrast_targets entries need V >= 0 and ratio >= 1, got {v}:{ratio}")
+    if cfg["kappa_ghz"] < 0.0:
+        raise ConfigError("cavity_decay (key kappa_ghz) must be >= 0; 0 derives it from q_factor")
     if cfg["active_volume_um3"] <= 0.0:
         raise ConfigError("active_volume (key active_volume_um3) must be > 0")
     if cfg["energy_field_v_per_um"] < 0.0:

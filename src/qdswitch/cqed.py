@@ -127,10 +127,11 @@ def polariton_modes(params: CqedParams) -> tuple[complex, complex]:
     return lo, hi
 
 
-def reflectivity_model(params: CqedParams, omega, *, dot_freq=None, coupling=None,
+def reflectivity_terms(params: CqedParams, omega, *, dot_freq=None, coupling=None,
                        dot_decay=None):
-    """Weak-probe reflectivity b + A |kappa / D|^2 at probe frequency omega.
+    """Dot and cavity denominators (E, D) of the reflectivity at omega.
 
+    E = i(w_d - w) + gamma and D = i(w_c - w) + kappa + g^2/E.
     dot_freq, coupling and dot_decay replace the matching params fields
     when given, unvalidated; every argument broadcasts, so one call
     evaluates a whole trace or parameter grid.
@@ -140,6 +141,20 @@ def reflectivity_model(params: CqedParams, omega, *, dot_freq=None, coupling=Non
     dot_decay = params.dot_decay if dot_decay is None else dot_decay
     e = 1j * (dot_freq - omega) + dot_decay
     d = 1j * (params.cavity_freq - omega) + params.cavity_decay + coupling ** 2 / e
+    return e, d
+
+
+def reflectivity_model(params: CqedParams, omega, *, dot_freq=None, coupling=None,
+                       dot_decay=None):
+    """Weak-probe reflectivity b + A |kappa / D|^2 at probe frequency omega;
+    the keyword overrides are those of reflectivity_terms."""
+    _, d = reflectivity_terms(params, omega, dot_freq=dot_freq, coupling=coupling,
+                              dot_decay=dot_decay)
+    return _intensity(params, d)
+
+
+def _intensity(params: CqedParams, d):
+    """b + A |kappa / D|^2 from the cavity denominator D."""
     return params.background + params.amplitude * np.abs(params.cavity_decay / d) ** 2
 
 

@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cqed import CqedParams, Spectrum, reflectivity_at, reflectivity_model
+from .cqed import (CqedParams, Spectrum, _intensity, reflectivity_at, reflectivity_model,
+                   reflectivity_terms)
 from .electrostatics import (
     DEFAULT_FIELD_SIGN,
     ElectrostaticParams,
@@ -119,7 +120,7 @@ def _levenberg_marquardt(
 
     for iterations in range(1, max_iterations + 1):
         g = j.T @ r
-        if np.max(np.abs(g), initial=0.0) <= grad_tol:
+        if np.abs(g).max() <= grad_tol:
             converged = True
             iterations -= 1
             break
@@ -136,7 +137,7 @@ def _levenberg_marquardt(
             x_new = x + step
             r_new = residual(x_new)
             cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost:
+            if math.isfinite(cost_new) and cost_new <= cost:
                 accepted = True
                 break
             lam *= 10.0
@@ -152,22 +153,26 @@ def _levenberg_marquardt(
 
     if not converged:
         # Final gradient check catches the start-at-optimum case.
-        if np.max(np.abs(j.T @ r), initial=0.0) <= grad_tol:
+        if np.abs(j.T @ r).max() <= grad_tol:
             converged = True
     return x, math.sqrt(cost), converged, iterations, j.T @ j
 
 
 def _fd_jacobian(residual: Callable[[np.ndarray], np.ndarray]):
+    """Central-difference Jacobian.  The loop has already evaluated the
+    residual at x, so it evaluates only the two shifted points per coordinate."""
     def jac(x: np.ndarray) -> np.ndarray:
-        base = residual(x)
-        out = np.empty((base.size, x.size))
+        out = None
         for k in range(x.size):
             h = 1e-6 * max(1.0, abs(x[k]))
             xp = x.copy()
             xm = x.copy()
             xp[k] += h
             xm[k] -= h
-            out[:, k] = (residual(xp) - residual(xm)) / (2.0 * h)
+            column = (residual(xp) - residual(xm)) / (2.0 * h)
+            if out is None:
+                out = np.empty((column.size, x.size))
+            out[:, k] = column
         return out
     return jac
 
@@ -282,39 +287,62 @@ def _log_scales(params: CqedParams, names: Sequence[str]) -> np.ndarray:
     return np.array([getattr(params, n) if n in _LOG_SCALE_PARAMS else 1.0 for n in names])
 
 
-def reflectivity_model_jacobian(params: CqedParams, detunings, names: Sequence[str]) -> np.ndarray:
-    """Analytic d I / d p of the reflectivity model, columns in natural units.
-
-    With E = i(w_d - w) + gamma and D = i(w_c - w) + kappa + g^2/E the
-    intensity is b + A kappa^2 / |D|^2, and each derivative reduces to
-    Re(conj(D) dD/dp).
-    """
-    grid = np.asarray(detunings, dtype=float)
-    e = 1j * (params.dot_freq - grid) + params.dot_decay
-    d = 1j * (params.cavity_freq - grid) + params.cavity_decay + params.coupling ** 2 / e
+def _jacobian_columns(params: CqedParams, e, d, names: Sequence[str]) -> np.ndarray:
+    """d I / d p in natural units from the denominators (E, D) at params.
+    With I = b + A kappa^2 / |D|^2 each derivative reduces to Re(conj(D) dD/dp)."""
     abs2 = np.abs(d) ** 2
     a, g, kappa = params.amplitude, params.coupling, params.cavity_decay
-    front = -a * kappa ** 2 / abs2 ** 2
+    front2 = -a * kappa ** 2 / abs2 ** 2 * 2.0
+    conj_d = np.conj(d)
 
-    cols = []
-    for name in names:
+    out = np.empty((d.size, len(names)))
+    for k, name in enumerate(names):
         if name == "amplitude":
-            cols.append(kappa ** 2 / abs2)
+            out[:, k] = kappa ** 2 / abs2
         elif name == "background":
-            cols.append(np.ones_like(grid))
+            out[:, k] = 1.0
         elif name == "cavity_freq":
-            cols.append(front * 2.0 * np.real(np.conj(d) * 1j))
+            out[:, k] = front2 * np.real(conj_d * 1j)
         elif name == "dot_freq":
-            cols.append(front * 2.0 * np.real(np.conj(d) * (-1j * g ** 2 / e ** 2)))
+            out[:, k] = front2 * np.real(conj_d * (-1j * g ** 2 / e ** 2))
         elif name == "coupling":
-            cols.append(front * 2.0 * np.real(np.conj(d) * (2.0 * g / e)))
+            out[:, k] = front2 * np.real(conj_d * (2.0 * g / e))
         elif name == "dot_decay":
-            cols.append(front * 2.0 * np.real(np.conj(d) * (-(g ** 2) / e ** 2)))
+            out[:, k] = front2 * np.real(conj_d * (-(g ** 2) / e ** 2))
         elif name == "cavity_decay":
-            cols.append(2.0 * a * kappa / abs2 + front * 2.0 * np.real(np.conj(d)))
+            out[:, k] = 2.0 * a * kappa / abs2 + front2 * d.real
         else:
             raise DomainError(f"unknown spectrum parameter '{name}'")
-    return np.column_stack(cols)
+    return out
+
+
+def reflectivity_model_jacobian(params: CqedParams, detunings, names: Sequence[str]) -> np.ndarray:
+    """Analytic d I / d p of the reflectivity model, columns in natural units."""
+    e, d = reflectivity_terms(params, np.asarray(detunings, dtype=float))
+    return _jacobian_columns(params, e, d, names)
+
+
+def _spectrum_problem(spectrum: Spectrum, initial: CqedParams, names: Sequence[str]):
+    """(residual, jacobian) of the spectrum fit in the packed coordinates.
+    The residual keeps E and D of its last point, so the Jacobian there --
+    the only point the LM loop asks about -- evaluates no model."""
+    data, grid = spectrum.intensities, spectrum.detunings
+    last_key, last_terms = None, None
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        nonlocal last_key, last_terms
+        p = _unpack(initial, names, x)
+        e, d = reflectivity_terms(p, grid)
+        last_key, last_terms = x.tobytes(), (p, e, d)
+        return _intensity(p, d) - data
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        if x.tobytes() != last_key:
+            residual(x)
+        p, e, d = last_terms
+        return _jacobian_columns(p, e, d, names) * _log_scales(p, names)
+
+    return residual, jacobian
 
 
 def fit_spectrum(
@@ -337,16 +365,7 @@ def fit_spectrum(
     if not np.all(np.isfinite(spectrum.intensities)):
         raise DomainError("spectrum intensities contain non-finite values")
 
-    data = spectrum.intensities
-    grid = spectrum.detunings
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        return reflectivity_model(_unpack(initial, names, x), grid) - data
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        p = _unpack(initial, names, x)
-        return reflectivity_model_jacobian(p, grid, names) * _log_scales(p, names)
-
+    residual, jacobian = _spectrum_problem(spectrum, initial, names)
     x0 = _pack(initial, names)
     x, residual_norm, converged, iterations, jtj = _levenberg_marquardt(
         residual, x0, jacobian)

@@ -54,8 +54,10 @@ class DriveSpec:
                             ("rc_cutoff", self.rc_cutoff_mhz)):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
-        if not 0.0 <= self.v_low <= self.v_high:
-            raise DomainError("need v_high >= v_low >= 0")
+        if not self.v_low >= 0.0:
+            raise DomainError("v_low must be >= 0")
+        if not self.v_high >= self.v_low:
+            raise DomainError("v_high must be >= v_low")
         if not self.frequency_mhz > 0.0:
             raise DomainError("drive_frequency must be > 0")
         if not 0.0 < self.duty < 1.0:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdswitch import ConfigError, DomainError, IngestError
+from qdswitch import ConfigError, DomainError, IngestError, kappa_from_q
 from qdswitch.cli import main
 from qdswitch.config import parse_config
 from qdswitch.constants import GHZ_PER_MEV
@@ -561,6 +561,37 @@ def test_cli_non_finite_value_names_its_key(tmp_path, capsys, key, value):
     assert record["error_class"] == "ConfigError"
     assert key in record["message"]
     assert not (out / "switch_trace.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["v_high_v", "v_low_v"])
+def test_cli_negative_rail_names_its_own_key(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = -1\n", encoding="utf-8")
+    code = run_cli("switch", "--preset", "paper", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "ConfigError"
+    assert record["message"].endswith(f"(config key {key})")
+
+
+@pytest.mark.parametrize("command", ["switch", "metrics"])
+def test_cli_rejects_negative_kappa(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("kappa_ghz = -5\n", encoding="utf-8")
+    code = run_cli(command, "--preset", "paper", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "ConfigError"
+    assert "kappa_ghz" in record["message"]
+
+
+def test_zero_kappa_derives_cavity_decay_from_q(tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("kappa_ghz = 0\n", encoding="utf-8")
+    derived = parse_config(cfg)
+    assert derived.cavity_decay() == kappa_from_q(derived.optical_frame())
 
 
 def test_cli_switch_refuses_unreachable_contrast_targets(tmp_path, capsys):
