@@ -82,41 +82,43 @@ class ShiftDataset:
         s = np.asarray(self.shifts_mev, dtype=float)
         if v.ndim != 1 or v.size < 2 or s.shape != v.shape:
             raise DomainError("shift dataset needs matching 1-D arrays, >= 2 points")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(s))):
+            raise DomainError("shift dataset voltages and shifts must be finite")
         if np.unique(v).size != v.size:
             raise DomainError("shift dataset voltages must be distinct")
         w = self.weights
         if w is not None:
             w = np.asarray(w, dtype=float)
-            if w.shape != v.shape or np.any(w <= 0.0):
-                raise DomainError("weights must be positive and match the data")
+            if w.shape != v.shape or not np.all(np.isfinite(w) & (w > 0.0)):
+                raise DomainError("weights must be finite, positive and match the data")
         object.__setattr__(self, "voltages", v)
         object.__setattr__(self, "shifts_mev", s)
         object.__setattr__(self, "weights", w)
 
 
 def _levenberg_marquardt(
-    residual: Callable[[np.ndarray], np.ndarray],
+    problem: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     x0: np.ndarray,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
     *,
     max_iterations: int = MAX_ITERATIONS,
     rel_tol: float = REL_RESIDUAL_TOL,
     grad_tol: float = GRADIENT_TOL,
 ) -> tuple[np.ndarray, float, bool, int, np.ndarray]:
-    """Damped Gauss-Newton minimization of |residual(x)|^2.
+    """Damped Gauss-Newton minimization of |r(x)|^2.
 
-    Returns (x, residual_norm, converged, iterations, JtJ at x).
-    Damping is adapted multiplicatively: shrink on accepted steps, grow
-    on rejected ones.
+    problem(x) returns (r, jacobian), where jacobian() builds dr/dx from
+    the same model evaluation that formed r; it is called only at the
+    start and at accepted points.  Returns (x, residual_norm, converged,
+    iterations, JtJ at x).  Damping is adapted multiplicatively: shrink
+    on accepted steps, grow on rejected ones.
     """
-    jac = jacobian if jacobian is not None else _fd_jacobian(residual)
     x = np.asarray(x0, dtype=float).copy()
-    r = residual(x)
+    r, jacobian = problem(x)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     iterations = 0
-    j = jac(x)
+    j = jacobian()
 
     for iterations in range(1, max_iterations + 1):
         g = j.T @ r
@@ -135,7 +137,7 @@ def _levenberg_marquardt(
                 lam *= 10.0
                 continue
             x_new = x + step
-            r_new = residual(x_new)
+            r_new, jacobian_new = problem(x_new)
             cost_new = float(r_new @ r_new)
             if math.isfinite(cost_new) and cost_new <= cost:
                 accepted = True
@@ -146,7 +148,7 @@ def _levenberg_marquardt(
         lam = max(lam * 0.3, 1e-14)
         drop = cost - cost_new
         x, r, cost = x_new, r_new, cost_new
-        j = jac(x)
+        j = jacobian_new()
         if drop <= rel_tol * max(cost, 1e-300):
             converged = True
             break
@@ -156,25 +158,6 @@ def _levenberg_marquardt(
         if np.abs(j.T @ r).max() <= grad_tol:
             converged = True
     return x, math.sqrt(cost), converged, iterations, j.T @ j
-
-
-def _fd_jacobian(residual: Callable[[np.ndarray], np.ndarray]):
-    """Central-difference Jacobian.  The loop has already evaluated the
-    residual at x, so it evaluates only the two shifted points per coordinate."""
-    def jac(x: np.ndarray) -> np.ndarray:
-        out = None
-        for k in range(x.size):
-            h = 1e-6 * max(1.0, abs(x[k]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[k] += h
-            xm[k] -= h
-            column = (residual(xp) - residual(xm)) / (2.0 * h)
-            if out is None:
-                out = np.empty((column.size, x.size))
-            out[:, k] = column
-        return out
-    return jac
 
 
 def _covariance_diag(jtj: np.ndarray, residual_norm: float, n_points: int) -> np.ndarray | None:
@@ -323,26 +306,17 @@ def reflectivity_model_jacobian(params: CqedParams, detunings, names: Sequence[s
 
 
 def _spectrum_problem(spectrum: Spectrum, initial: CqedParams, names: Sequence[str]):
-    """(residual, jacobian) of the spectrum fit in the packed coordinates.
-    The residual keeps E and D of its last point, so the Jacobian there --
-    the only point the LM loop asks about -- evaluates no model."""
+    """The spectrum fit in the packed coordinates: problem(x) -> (residual,
+    jacobian), the Jacobian built from the E and D that formed the residual."""
     data, grid = spectrum.intensities, spectrum.detunings
-    last_key, last_terms = None, None
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        nonlocal last_key, last_terms
+    def problem(x: np.ndarray):
         p = _unpack(initial, names, x)
         e, d = reflectivity_terms(p, grid)
-        last_key, last_terms = x.tobytes(), (p, e, d)
-        return _intensity(p, d) - data
+        return (_intensity(p, d) - data,
+                lambda: _jacobian_columns(p, e, d, names) * _log_scales(p, names))
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        if x.tobytes() != last_key:
-            residual(x)
-        p, e, d = last_terms
-        return _jacobian_columns(p, e, d, names) * _log_scales(p, names)
-
-    return residual, jacobian
+    return problem
 
 
 def fit_spectrum(
@@ -365,10 +339,8 @@ def fit_spectrum(
     if not np.all(np.isfinite(spectrum.intensities)):
         raise DomainError("spectrum intensities contain non-finite values")
 
-    residual, jacobian = _spectrum_problem(spectrum, initial, names)
-    x0 = _pack(initial, names)
     x, residual_norm, converged, iterations, jtj = _levenberg_marquardt(
-        residual, x0, jacobian)
+        _spectrum_problem(spectrum, initial, names), _pack(initial, names))
     fitted = _unpack(initial, names, x)
 
     cov = _covariance_diag(jtj, residual_norm, len(spectrum))
@@ -397,8 +369,8 @@ def dot_decay_from_contrast(ratio: float, coupling: float, cavity_decay: float) 
     gamma = g^2 / (C kappa); r = 1 means no dip at all, i.e. infinite
     broadening.
     """
-    if ratio < 1.0:
-        raise DomainError(f"on/off ratio must be >= 1, got {ratio}")
+    if not 1.0 <= ratio < math.inf:
+        raise DomainError(f"on/off ratio must be finite and >= 1, got {ratio}")
     c = math.sqrt(ratio) - 1.0
     if c == 0.0:
         return math.inf
@@ -425,6 +397,32 @@ def dc_contrast(
         return reflectivity_at(replace(cqed, dot_freq=cqed.dot_freq + detune), probe)
 
     return point(v_on) / point(v_off)
+
+
+def _contrast_problem(cqed: CqedParams, unscreened: np.ndarray, ratios: np.ndarray):
+    """The contrast fit in (log gamma, logit s): problem(x) -> (residual,
+    jacobian).  unscreened holds the s = 1 detuning of every target and,
+    last, of the zero-bias reference; each residual is I(V)/I(0 V) minus
+    its target ratio."""
+    def problem(x: np.ndarray):
+        gamma = math.exp(x[0])
+        s = 1.0 / (1.0 + math.exp(-x[1]))
+        e, d = reflectivity_terms(cqed, cqed.dot_freq, dot_decay=gamma,
+                                  dot_freq=cqed.dot_freq + s * unscreened)
+        intensity = _intensity(cqed, d)
+        ratio = intensity[:-1] / intensity[-1]
+
+        def jacobian() -> np.ndarray:
+            # dI/dx by the chain rule through gamma = e^x0 and s = 1/(1 + e^-x1),
+            # then the quotient rule for I(V)/I(0 V)
+            cols = _jacobian_columns(cqed, e, d, ("dot_decay", "dot_freq"))
+            cols[:, 0] *= gamma
+            cols[:, 1] *= s * (1.0 - s) * unscreened
+            return (cols[:-1] - ratio[:, None] * cols[-1]) / intensity[-1]
+
+        return ratio - ratios, jacobian
+
+    return problem
 
 
 def fit_contrast(
@@ -456,27 +454,17 @@ def fit_contrast(
     unscreened = voltage_to_detuning(elec, stark, np.append(volts, 0.0),
                                      field_sign=field_sign)
 
-    def model(gamma, s) -> np.ndarray:
-        """On/off ratio per target; gamma and s broadcast against each
-        other, targets run along the trailing axis."""
-        intensity = reflectivity_model(
-            cqed, cqed.dot_freq, dot_decay=gamma,
-            dot_freq=cqed.dot_freq + s * unscreened)
-        return intensity[..., :-1] / intensity[..., -1:]
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        gamma = math.exp(x[0])
-        s = 1.0 / (1.0 + math.exp(-x[1]))
-        return model(gamma, s) - ratios
-
     # Coarse scan keeps the refinement out of the wrong basin.
     gamma_grid = cqed.cavity_decay * np.geomspace(0.02, 2.0, 24)
     s_grid = np.linspace(0.02, 0.9, 18)
-    err = model(gamma_grid[:, None, None], s_grid[None, :, None]) - ratios
+    intensity = reflectivity_model(cqed, cqed.dot_freq, dot_decay=gamma_grid[:, None, None],
+                                   dot_freq=cqed.dot_freq + s_grid[None, :, None] * unscreened)
+    err = intensity[..., :-1] / intensity[..., -1:] - ratios
     i, k = np.unravel_index(np.argmin(np.sum(err * err, axis=-1)), err.shape[:2])
     x0 = np.array([math.log(gamma_grid[i]), math.log(s_grid[k] / (1.0 - s_grid[k]))])
 
-    x, residual_norm, converged, iterations, jtj = _levenberg_marquardt(residual, x0)
+    x, residual_norm, converged, iterations, jtj = _levenberg_marquardt(
+        _contrast_problem(cqed, unscreened, ratios), x0)
     gamma = math.exp(x[0])
     s = 1.0 / (1.0 + math.exp(-x[1]))
 

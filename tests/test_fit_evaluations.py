@@ -1,11 +1,11 @@
 """One model evaluation per Levenberg-Marquardt point.
 
-The spectrum fit builds its Jacobian from the E and D its residual
-already formed, and the finite-difference Jacobian of the contrast fit
-does not re-evaluate the point the loop has just accepted.  These tests
-pin that the shortcuts change no value: the residual/Jacobian pair is
-bit-identical to the public model and Jacobian, no point is evaluated
-twice, and seeded fits reproduce their recorded results bit for bit.
+Both nonlinear fits build their analytic Jacobian from the E and D that
+formed the residual.  These tests pin what that changes and what it does
+not: the spectrum residual/Jacobian pair is bit-identical to the public
+model and Jacobian, the contrast Jacobian matches central differences of
+its own residual, no point is evaluated twice, and seeded fits reproduce
+their recorded results bit for bit.
 """
 
 import math
@@ -18,15 +18,21 @@ from hypothesis import strategies as st
 
 from qdswitch import (
     CqedParams,
+    ElectrostaticParams,
+    OpticalFrame,
     Spectrum,
+    StarkCoefficients,
     fit_contrast,
     fit_spectrum,
+    kappa_from_q,
     reflectivity_model_jacobian,
     reflectivity_spectrum,
+    voltage_to_detuning,
 )
 from qdswitch import fitting
 from qdswitch.cqed import reflectivity_model
-from qdswitch.fitting import _log_scales, _pack, _spectrum_problem, _unpack
+from qdswitch.fitting import (_contrast_problem, _log_scales, _pack, _spectrum_problem,
+                              _unpack)
 
 TWO_PI = 2.0 * math.pi
 ALL_NAMES = ("cavity_freq", "dot_freq", "coupling", "cavity_decay",
@@ -96,31 +102,69 @@ def test_fit_residual_and_jacobian_are_bit_identical_to_the_model(problem):
     initial, names, x1, x2, seed = problem
     grid = TWO_PI * np.linspace(-150.0, 150.0, 61)
     spectrum = Spectrum(grid, np.random.default_rng(seed).uniform(0.0, 1.5, grid.size))
-    residual, jacobian = _spectrum_problem(spectrum, initial, names)
+    problem = _spectrum_problem(spectrum, initial, names)
 
     want_r1, want_j1 = reference_pair(initial, names, x1, grid, spectrum.intensities)
-    _, want_j2 = reference_pair(initial, names, x2, grid, spectrum.intensities)
-    assert residual(x1).tobytes() == want_r1.tobytes()
-    assert jacobian(x1).tobytes() == want_j1.tobytes()   # from the kept E and D
-    assert jacobian(x2).tobytes() == want_j2.tobytes()   # a point never evaluated
-    assert jacobian(x1).tobytes() == want_j1.tobytes()
+    want_r2, want_j2 = reference_pair(initial, names, x2, grid, spectrum.intensities)
+    r1, jacobian1 = problem(x1)
+    assert r1.tobytes() == want_r1.tobytes()
+    assert jacobian1().tobytes() == want_j1.tobytes()   # from the E and D of r1
+    r2, jacobian2 = problem(x2)
+    assert r2.tobytes() == want_r2.tobytes()
+    assert jacobian2().tobytes() == want_j2.tobytes()
+    assert jacobian1().tobytes() == want_j1.tobytes()   # unaffected by the later point
+
+
+CONTRAST_CQED = CqedParams(
+    cavity_freq=0.0, dot_freq=0.0, coupling=TWO_PI * 20.0,
+    cavity_decay=kappa_from_q(OpticalFrame(935.0, 4000.0)), dot_decay=TWO_PI * 0.1)
+STARK = StarkCoefficients(dipole_mev_um_per_v=-0.009, polarizability_mev_um2_per_v2=-0.015)
+
+
+@settings(max_examples=80, deadline=None)
+@given(distance=st.sampled_from([0.75, 0.1]),   # onsets 3.19 V and 0 V
+       log_gamma_over_kappa=st.floats(math.log(0.01), math.log(3.0)),
+       logit_s=st.floats(-4.0, 4.0),
+       below=st.lists(st.floats(0.0, 3.0), max_size=2),
+       above=st.lists(st.floats(3.4, 16.0), min_size=1, max_size=3))
+def test_contrast_jacobian_matches_central_differences(distance, log_gamma_over_kappa,
+                                                       logit_s, below, above):
+    elec = ElectrostaticParams(donor_density_cm3=9e15, barrier_potential_v=0.36,
+                               relative_permittivity=12.9, electrode_distance_um=distance)
+    volts = np.array(below + above)
+    unscreened = voltage_to_detuning(elec, STARK, np.append(volts, 0.0))
+    problem = _contrast_problem(CONTRAST_CQED, unscreened, np.ones(volts.size))
+    x = np.array([math.log(CONTRAST_CQED.cavity_decay) + log_gamma_over_kappa, logit_s])
+
+    r, jacobian = problem(x)
+    analytic = jacobian()
+    for k in range(2):
+        h = 1e-6 * max(1.0, abs(x[k]))
+        step = np.zeros(2)
+        step[k] = h
+        fd = (problem(x + step)[0] - problem(x - step)[0]) / (2.0 * h)
+        scale = np.max(np.abs(fd)) or 1.0
+        # A nearly flat column (dot far from or right at the probe) is below
+        # what central differences resolve: the rounding of the ratios over h.
+        rounding = 16.0 * np.finfo(float).eps * np.max(r + 1.0) / h
+        assert np.max(np.abs(analytic[:, k] - fd)) <= 1e-6 * scale + rounding
 
 
 # -- evaluations per solve ----------------------------------------------------------
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Records the packed point of every residual call the LM loop makes and
+    """Records the packed point of every problem call the LM loop makes and
     the parameters of every reflectivity_terms call of the fits."""
     record = {"points": [], "terms": []}
     solve = fitting._levenberg_marquardt
     terms = fitting.reflectivity_terms
 
-    def counted_solve(residual, x0, jacobian=None, **kwargs):
+    def counted_solve(problem, x0, **kwargs):
         def counted(x):
             record["points"].append(x.tobytes())
-            return residual(x)
-        return solve(counted, x0, jacobian, **kwargs)
+            return problem(x)
+        return solve(counted, x0, **kwargs)
 
     def counted_terms(params, omega, **kwargs):
         record["terms"].append(params)
@@ -138,6 +182,8 @@ def test_contrast_solve_evaluates_no_point_twice(evaluations, device_elec,
     points = evaluations["points"]
     assert result.iterations > 0
     assert len(set(points)) == len(points)
+    # every model evaluation is a problem call: the Jacobian forms no E, D
+    assert len(evaluations["terms"]) == len(points)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -146,7 +192,7 @@ def test_spectrum_solve_evaluates_the_model_once_per_point(evaluations, seed):
     points = evaluations["points"]
     assert result.iterations > 0
     assert len(set(points)) == len(points)
-    # every model evaluation is a residual call: the Jacobian forms no E, D
+    # every model evaluation is a problem call: the Jacobian forms no E, D
     assert len(evaluations["terms"]) == len(points)
 
 
@@ -201,6 +247,6 @@ def test_preset_contrast_fit_reproduces_recorded_bits(device_elec, device_stark,
     assert result.converged
     assert result.iterations == 4
     assert result.residual_norm.hex() == "0x1.603a11a9dcc00p-30"
-    assert hexes(result.parameters) == {"dot_decay": "0x1.acd430026b234p+6",
-                                        "screening": "0x1.b64514040985ap-4"}
+    assert hexes(result.parameters) == {"dot_decay": "0x1.acd430026b23bp+6",
+                                        "screening": "0x1.b64514040986ap-4"}
     assert result.covariance_diag is None   # two targets, two parameters: no dof

@@ -70,8 +70,8 @@ def test_stark_fit_matches_iterative_least_squares(device_elec, device_stark):
     fields = np.array([-field_at_cavity(device_elec, v) for v in volts])
     design = np.column_stack([fields, -fields ** 2])
 
-    x, *_ = _levenberg_marquardt(lambda x: design @ x - shifts, np.zeros(2),
-                                 rel_tol=1e-16, grad_tol=1e-14,
+    x, *_ = _levenberg_marquardt(lambda x: (design @ x - shifts, lambda: design),
+                                 np.zeros(2), rel_tol=1e-16, grad_tol=1e-14,
                                  max_iterations=5000)
     assert closed.parameters["dipole_mev_um_per_v"] == pytest.approx(x[0], rel=1e-10)
     assert closed.parameters["polarizability_mev_um2_per_v2"] \
@@ -83,6 +83,17 @@ def test_shift_dataset_validation():
         ShiftDataset(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
     with pytest.raises(DomainError):
         ShiftDataset(np.array([1.0]), np.array([0.1]))
+
+
+@pytest.mark.parametrize("volts, shifts, weights", [
+    ([1.0, math.nan], [0.1, 0.2], None),
+    ([1.0, 2.0], [0.1, math.inf], None),
+    ([1.0, 2.0], [0.1, 0.2], [1.0, math.inf]),
+    ([1.0, 2.0], [0.1, 0.2], [1.0, math.nan]),
+])
+def test_shift_dataset_rejects_non_finite_values(volts, shifts, weights):
+    with pytest.raises(DomainError, match="finite"):
+        ShiftDataset(np.array(volts), np.array(shifts), weights)
 
 
 # -- spectrum fit ----------------------------------------------------------------
@@ -209,8 +220,9 @@ def test_single_ratio_inversion():
 
 def test_single_ratio_boundary():
     assert dot_decay_from_contrast(1.0, TWO_PI * 20.0, TWO_PI * 40.0) == math.inf
-    with pytest.raises(DomainError):
-        dot_decay_from_contrast(0.9, TWO_PI * 20.0, TWO_PI * 40.0)
+    for ratio in (0.9, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            dot_decay_from_contrast(ratio, TWO_PI * 20.0, TWO_PI * 40.0)
 
 
 def test_contrast_fit_two_targets(device_elec, device_stark, device_cqed):
@@ -253,20 +265,22 @@ def test_contrast_fit_rejects_non_finite_targets(device_elec, device_stark, devi
 # -- optimizer ----------------------------------------------------------------------
 
 def test_lm_reports_non_convergence():
-    def residual(x):
-        return np.array([math.exp(x[0]) - 5.0, x[0] ** 3 - 2.0])
+    def problem(x):
+        return (np.array([math.exp(x[0]) - 5.0, x[0] ** 3 - 2.0]),
+                lambda: np.array([[math.exp(x[0])], [3.0 * x[0] ** 2]]))
 
     _, _, converged, iterations, _ = _levenberg_marquardt(
-        residual, np.array([10.0]), max_iterations=1)
+        problem, np.array([10.0]), max_iterations=1)
     assert not converged
     assert iterations == 1
 
 
 def test_lm_converges_on_rosenbrock_style_problem():
-    def residual(x):
-        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    def problem(x):
+        return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+                lambda: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
 
-    x, norm, converged, _, _ = _levenberg_marquardt(residual, np.array([-1.2, 1.0]))
+    x, norm, converged, _, _ = _levenberg_marquardt(problem, np.array([-1.2, 1.0]))
     assert converged
     assert norm < 1e-8
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-6)

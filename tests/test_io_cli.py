@@ -624,6 +624,21 @@ def test_cli_exit_code_numeric_error(tmp_path, capsys):
     assert record["error_class"] == "DegenerateFitError"
 
 
+@pytest.mark.parametrize("row", ["6,nan", "6,inf", "6,-inf", "nan,0.05"])
+def test_cli_fit_stark_rejects_non_finite_data(tmp_path, capsys, row):
+    data = tmp_path / "shifts.csv"
+    data.write_text("voltage_V,shift_meV\n4,0.01\n" + row
+                    + "\n8,0.05\n10,0.1\n12,0.2\n")
+    out = tmp_path / "o"
+    code = run_cli("fit", "--kind", "stark", "--preset", "paper",
+                   "--data", str(data), "--out", str(out))
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "IngestError"
+    assert str(data) in record["message"]
+    assert not (out / "fit_report.csv").exists()
+
+
 def test_cli_exit_code_io_error(tmp_path, capsys):
     code = run_cli("fit", "--kind", "stark", "--preset", "paper",
                    "--data", str(tmp_path / "missing.csv"),
