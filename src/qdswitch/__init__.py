@@ -3,114 +3,42 @@
 Maps reverse bias to depletion field and Stark shift, computes coupled
 dot-cavity spectra, simulates RC-limited time-domain switching, and
 recovers model parameters from measured data.
+
+Submodules load on first use (PEP 562): ``import qdswitch`` imports
+none of them, and ``qdswitch.X`` imports the one module that defines X.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .cqed import (
-    CouplingRegime,
-    CqedParams,
-    OpticalFrame,
-    Spectrum,
-    cooperativity,
-    coupling_regime,
-    g_of_voltage,
-    kappa_from_q,
-    max_bandwidth,
-    pl_spectrum,
-    polariton_modes,
-    reflectivity_at,
-    reflectivity_spectrum,
-    vacuum_rabi_splitting,
-    weak_coupling_bandwidth,
-)
-from .electrostatics import (
-    ElectrostaticParams,
-    StarkCoefficients,
-    apply_screening,
-    depletion_width,
-    field_at_cavity,
-    onset_voltage,
-    stark_shift,
-    voltage_to_detuning,
-)
-from .errors import (
-    AdiabaticityWarning,
-    ConfigError,
-    DegenerateFitError,
-    DegenerateTraceError,
-    DomainError,
-    IngestError,
-    QdSwitchError,
-)
-from .fitting import (
-    FitResult,
-    ShiftDataset,
-    dc_contrast,
-    dot_decay_from_contrast,
-    fit_contrast,
-    fit_spectrum,
-    fit_stark_curve,
-    reflectivity_model_jacobian,
-    stark_model,
-)
-from .switching import (
-    DriveSpec,
-    EnergyBudget,
-    TimeTrace,
-    drive_samples,
-    on_off_ratio,
-    rc_response,
-    simulate_switching,
-    switching_energy,
-)
+# submodule -> the public names it defines
+_EXPORTS = {
+    "cqed": ("CouplingRegime", "CqedParams", "OpticalFrame", "Spectrum", "cooperativity",
+             "coupling_regime", "g_of_voltage", "kappa_from_q", "max_bandwidth",
+             "pl_spectrum", "polariton_modes", "reflectivity_at", "reflectivity_spectrum",
+             "vacuum_rabi_splitting", "weak_coupling_bandwidth"),
+    "electrostatics": ("DriveSpec", "ElectrostaticParams", "ShiftDataset",
+                       "StarkCoefficients", "apply_screening", "depletion_width",
+                       "field_at_cavity", "onset_voltage", "stark_shift",
+                       "voltage_to_detuning"),
+    "errors": ("AdiabaticityWarning", "ConfigError", "DegenerateFitError",
+               "DegenerateTraceError", "DomainError", "IngestError", "QdSwitchError"),
+    "fitting": ("FitResult", "dc_contrast", "dot_decay_from_contrast", "fit_contrast",
+                "fit_spectrum", "fit_stark_curve", "reflectivity_model_jacobian",
+                "stark_model"),
+    "switching": ("EnergyBudget", "TimeTrace", "drive_samples", "on_off_ratio",
+                  "rc_response", "simulate_switching", "switching_energy"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AdiabaticityWarning",
-    "ConfigError",
-    "CouplingRegime",
-    "CqedParams",
-    "DegenerateFitError",
-    "DegenerateTraceError",
-    "DomainError",
-    "DriveSpec",
-    "ElectrostaticParams",
-    "EnergyBudget",
-    "FitResult",
-    "IngestError",
-    "OpticalFrame",
-    "QdSwitchError",
-    "ShiftDataset",
-    "Spectrum",
-    "StarkCoefficients",
-    "TimeTrace",
-    "apply_screening",
-    "cooperativity",
-    "coupling_regime",
-    "dc_contrast",
-    "depletion_width",
-    "dot_decay_from_contrast",
-    "drive_samples",
-    "field_at_cavity",
-    "fit_contrast",
-    "fit_spectrum",
-    "fit_stark_curve",
-    "g_of_voltage",
-    "kappa_from_q",
-    "max_bandwidth",
-    "on_off_ratio",
-    "onset_voltage",
-    "pl_spectrum",
-    "polariton_modes",
-    "rc_response",
-    "reflectivity_at",
-    "reflectivity_model_jacobian",
-    "reflectivity_spectrum",
-    "simulate_switching",
-    "stark_model",
-    "stark_shift",
-    "switching_energy",
-    "vacuum_rabi_splitting",
-    "voltage_to_detuning",
-    "weak_coupling_bandwidth",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+

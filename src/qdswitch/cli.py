@@ -5,15 +5,16 @@ a preset and/or config file, writes plot-ready CSV files plus a
 reproducibility manifest into --out, prints a short summary to stdout,
 and exits 0.  Failures exit nonzero (1 config, 2 numeric, 3 I/O) with a
 one-line JSON error record on stderr.
+
+A layer only some commands run (fitting, switching) is imported inside
+those commands, so each command loads only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,8 @@ from .electrostatics import (
     stark_shift,
     voltage_to_detuning,
 )
-from .errors import ConfigError, IngestError, QdSwitchError
-from .fitting import fit_contrast, fit_spectrum, fit_stark_curve
+from .errors import ConfigError, DomainError, IngestError, QdSwitchError
 from .manifest import write_manifest
-from .switching import EnergyBudget, on_off_ratio, simulate_switching, switching_energy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -55,11 +54,10 @@ CALIBRATION_RESIDUAL_REL = 1e-6
 
 
 def _preset_path(name: str) -> Path:
-    candidate = resources.files("qdswitch").joinpath("presets", f"{name}.cfg")
-    with resources.as_file(candidate) as path:
-        if not path.is_file():
-            raise ConfigError(f"unknown preset '{name}'")
-        return path
+    path = Path(__file__).with_name("presets") / f"{name}.cfg"
+    if not path.is_file():
+        raise ConfigError(f"unknown preset '{name}'")
+    return path
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
@@ -103,6 +101,8 @@ def _calibrated_cqed(cfg: RunConfig):
     dot_decay and screening replace the configured ones.  A calibration
     that did not converge or misses its targets raises ConfigError.
     """
+    from .fitting import fit_contrast
+
     cqed = cfg.cqed_params()
     targets = cfg["contrast_targets"]
     if not targets:
@@ -165,6 +165,8 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def _cmd_switch(cfg: RunConfig, args) -> int:
+    from .switching import on_off_ratio, simulate_switching
+
     cqed, screening, calibration = _calibrated_cqed(cfg)
     drive = cfg.drive_spec()
     trace = simulate_switching(
@@ -200,6 +202,8 @@ def _cmd_switch(cfg: RunConfig, args) -> int:
 def _cmd_metrics(cfg: RunConfig, args) -> int:
     # Figures of merit describe the configured operating point; the
     # contrast calibration only feeds the switching path.
+    from .switching import EnergyBudget, switching_energy
+
     cqed = cfg.cqed_params()
     elec = cfg.electrostatic_params()
     budget = EnergyBudget(cfg["active_volume_um3"], cfg["energy_field_v_per_um"],
@@ -217,6 +221,9 @@ def _cmd_metrics(cfg: RunConfig, args) -> int:
         ("switching_energy_fJ", switching_energy(budget), "fJ"),
         ("screening", cfg.screening(), "dimensionless"),
     ]
+    for name, value, _ in rows:
+        if isinstance(value, float) and not np.isfinite(value):
+            raise DomainError(f"metric {name} is not finite: {value!r}")
     out = write_csv(Path(args.out) / "metrics.csv", ["metric", "value", "unit"], rows)
     _finish(cfg, args, "metrics", [out])
     for name, value, _ in rows:
@@ -225,6 +232,8 @@ def _cmd_metrics(cfg: RunConfig, args) -> int:
 
 
 def _cmd_fit(cfg: RunConfig, args) -> int:
+    from .fitting import fit_contrast, fit_spectrum, fit_stark_curve
+
     if args.kind in ("stark", "spectrum") and not args.data:
         raise ConfigError(f"fit --kind {args.kind} requires --data")
     if args.kind == "stark":
@@ -314,6 +323,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _fail(exc: Exception, code: int | None = None) -> int:
+    import json
+
     if code is None:
         if isinstance(exc, ConfigError):
             code = EXIT_CONFIG

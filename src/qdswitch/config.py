@@ -19,9 +19,8 @@ import numpy as np
 
 from .constants import TWO_PI
 from .cqed import CqedParams, OpticalFrame, kappa_from_q
-from .electrostatics import ElectrostaticParams, StarkCoefficients
+from .electrostatics import DriveSpec, ElectrostaticParams, StarkCoefficients
 from .errors import ConfigError, DomainError
-from .switching import DriveSpec
 
 
 def _parse_float(text: str) -> float:
@@ -193,6 +192,8 @@ class RunConfig:
 
     def voltage_grid(self) -> np.ndarray:
         start, stop, step = self["v_start"], self["v_stop"], self["v_step"]
+        if start < 0.0:
+            raise ConfigError(f"v_start must be >= 0, got {start} (config key v_start)")
         if step <= 0.0 or stop < start:
             raise ConfigError("voltage sweep needs v_step > 0 and v_stop >= v_start")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -288,6 +289,8 @@ def _validate(cfg: RunConfig) -> None:
         if not (ratio >= 1.0 and v >= 0.0):
             raise ConfigError(
                 f"contrast_targets entries need V >= 0 and ratio >= 1, got {v}:{ratio}")
+    if cfg["bias_v"] < 0.0:
+        raise ConfigError(f"bias must be >= 0, got {cfg['bias_v']} (config key bias_v)")
     if cfg["kappa_ghz"] < 0.0:
         raise ConfigError("cavity_decay (key kappa_ghz) must be >= 0; 0 derives it from q_factor")
     if cfg["active_volume_um3"] <= 0.0:

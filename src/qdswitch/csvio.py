@@ -17,8 +17,8 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT_NM_NS, TWO_PI
 from .cqed import Spectrum
+from .electrostatics import ShiftDataset
 from .errors import DomainError, IngestError
-from .fitting import ShiftDataset
 
 SPECTRUM_WAVELENGTH_HEADER = "wavelength_nm"
 SPECTRUM_DETUNING_HEADER = "detuning_GHz"

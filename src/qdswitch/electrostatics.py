@@ -9,6 +9,10 @@ Model: abrupt junction, uniform residual doping, full-depletion
 approximation.  The field reaches the dot only once the depletion edge
 has passed it (x_d > electrode distance); below that onset the shift is
 exactly zero.  Surface states are not modeled.
+
+The bias-side data types live here too, so that config and CSV ingest
+need no heavier layer: DriveSpec, the applied bias waveform, and
+ShiftDataset, measured (bias, Stark shift) samples.
 """
 
 from __future__ import annotations
@@ -75,6 +79,87 @@ class StarkCoefficients:
         if not (math.isfinite(self.dipole_mev_um_per_v)
                 and math.isfinite(self.polarizability_mev_um2_per_v2)):
             raise DomainError("Stark coefficients must be finite")
+
+
+@dataclass(frozen=True)
+class DriveSpec:
+    """Square-wave drive plus first-order line filtering.
+
+    Voltages in V, frequencies in MHz.  duty is the high fraction of
+    each period; transitions are aligned to sample boundaries, so
+    duty * samples_per_cycle should be an integer (it is rounded to one).
+    """
+
+    v_low: float
+    v_high: float
+    frequency_mhz: float
+    duty: float = 0.5
+    rc_cutoff_mhz: float = 100.0
+    cycles: int = 9
+    samples_per_cycle: int = 256
+
+    def __post_init__(self) -> None:
+        for name, value in (("v_low", self.v_low), ("v_high", self.v_high),
+                            ("drive_frequency", self.frequency_mhz),
+                            ("rc_cutoff", self.rc_cutoff_mhz)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if not self.v_low >= 0.0:
+            raise DomainError("v_low must be >= 0")
+        if not self.v_high >= self.v_low:
+            raise DomainError("v_high must be >= v_low")
+        if not self.frequency_mhz > 0.0:
+            raise DomainError("drive_frequency must be > 0")
+        if not 0.0 < self.duty < 1.0:
+            raise DomainError("duty must be in (0, 1)")
+        if not self.rc_cutoff_mhz > 0.0:
+            raise DomainError("rc_cutoff must be > 0")
+        if int(self.cycles) != self.cycles or self.cycles < 3:
+            raise DomainError("cycles must be an integer >= 3")
+        if int(self.samples_per_cycle) != self.samples_per_cycle or self.samples_per_cycle < 64:
+            raise DomainError("samples_per_cycle must be an integer >= 64")
+
+    @property
+    def period_ns(self) -> float:
+        return 1e3 / self.frequency_mhz
+
+    @property
+    def tau_ns(self) -> float:
+        """RC time constant 1/(2 pi f_c)."""
+        return 1e3 / (2.0 * math.pi * self.rc_cutoff_mhz)
+
+    @property
+    def high_samples(self) -> int:
+        """Samples per cycle at v_high: duty * samples_per_cycle, rounded into [1, spc - 1]."""
+        spc = int(self.samples_per_cycle)
+        return min(max(round(self.duty * spc), 1), spc - 1)
+
+
+@dataclass(frozen=True)
+class ShiftDataset:
+    """Measured (reverse bias, shift) samples with optional weights."""
+
+    voltages: np.ndarray
+    shifts_mev: np.ndarray
+    weights: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.voltages, dtype=float)
+        s = np.asarray(self.shifts_mev, dtype=float)
+        if v.ndim != 1 or v.size < 2 or s.shape != v.shape:
+            raise DomainError("shift dataset needs matching 1-D arrays, >= 2 points")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(s))):
+            raise DomainError("shift dataset voltages and shifts must be finite")
+        if np.unique(v).size != v.size:
+            raise DomainError("shift dataset voltages must be distinct")
+        w = self.weights
+        if w is not None:
+            w = np.asarray(w, dtype=float)
+            if w.shape != v.shape or not np.all(np.isfinite(w) & (w > 0.0)):
+                raise DomainError("weights must be finite, positive and match the data")
+        object.__setattr__(self, "voltages", v)
+        object.__setattr__(self, "shifts_mev", s)
+        object.__setattr__(self, "weights", w)
 
 
 def _result(values):

@@ -25,6 +25,7 @@ from .cqed import (CqedParams, Spectrum, _intensity, reflectivity_at, reflectivi
 from .electrostatics import (
     DEFAULT_FIELD_SIGN,
     ElectrostaticParams,
+    ShiftDataset,
     StarkCoefficients,
     field_at_cavity,
     stark_shift,
@@ -67,33 +68,6 @@ class FitResult:
     converged: bool
     iterations: int
     covariance_diag: dict[str, float] | None = None
-
-
-@dataclass(frozen=True)
-class ShiftDataset:
-    """Measured (reverse bias, shift) samples with optional weights."""
-
-    voltages: np.ndarray
-    shifts_mev: np.ndarray
-    weights: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.voltages, dtype=float)
-        s = np.asarray(self.shifts_mev, dtype=float)
-        if v.ndim != 1 or v.size < 2 or s.shape != v.shape:
-            raise DomainError("shift dataset needs matching 1-D arrays, >= 2 points")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(s))):
-            raise DomainError("shift dataset voltages and shifts must be finite")
-        if np.unique(v).size != v.size:
-            raise DomainError("shift dataset voltages must be distinct")
-        w = self.weights
-        if w is not None:
-            w = np.asarray(w, dtype=float)
-            if w.shape != v.shape or not np.all(np.isfinite(w) & (w > 0.0)):
-                raise DomainError("weights must be finite, positive and match the data")
-        object.__setattr__(self, "voltages", v)
-        object.__setattr__(self, "shifts_mev", s)
-        object.__setattr__(self, "weights", w)
 
 
 def _levenberg_marquardt(

@@ -21,6 +21,7 @@ from .constants import JOULE_PER_FJ, VACUUM_PERMITTIVITY_F_UM
 from .cqed import CqedParams, g_of_voltage, reflectivity_model
 from .electrostatics import (
     DEFAULT_FIELD_SIGN,
+    DriveSpec,
     ElectrostaticParams,
     StarkCoefficients,
     voltage_to_detuning,
@@ -29,60 +30,6 @@ from .errors import AdiabaticityWarning, DegenerateTraceError, DomainError
 
 # Adiabaticity guard: warn when drive frequency exceeds kappa/(2 pi)/10.
 ADIABATIC_MARGIN = 10.0
-
-
-@dataclass(frozen=True)
-class DriveSpec:
-    """Square-wave drive plus first-order line filtering.
-
-    Voltages in V, frequencies in MHz.  duty is the high fraction of
-    each period; transitions are aligned to sample boundaries, so
-    duty * samples_per_cycle should be an integer (it is rounded to one).
-    """
-
-    v_low: float
-    v_high: float
-    frequency_mhz: float
-    duty: float = 0.5
-    rc_cutoff_mhz: float = 100.0
-    cycles: int = 9
-    samples_per_cycle: int = 256
-
-    def __post_init__(self) -> None:
-        for name, value in (("v_low", self.v_low), ("v_high", self.v_high),
-                            ("drive_frequency", self.frequency_mhz),
-                            ("rc_cutoff", self.rc_cutoff_mhz)):
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
-        if not self.v_low >= 0.0:
-            raise DomainError("v_low must be >= 0")
-        if not self.v_high >= self.v_low:
-            raise DomainError("v_high must be >= v_low")
-        if not self.frequency_mhz > 0.0:
-            raise DomainError("drive_frequency must be > 0")
-        if not 0.0 < self.duty < 1.0:
-            raise DomainError("duty must be in (0, 1)")
-        if not self.rc_cutoff_mhz > 0.0:
-            raise DomainError("rc_cutoff must be > 0")
-        if int(self.cycles) != self.cycles or self.cycles < 3:
-            raise DomainError("cycles must be an integer >= 3")
-        if int(self.samples_per_cycle) != self.samples_per_cycle or self.samples_per_cycle < 64:
-            raise DomainError("samples_per_cycle must be an integer >= 64")
-
-    @property
-    def period_ns(self) -> float:
-        return 1e3 / self.frequency_mhz
-
-    @property
-    def tau_ns(self) -> float:
-        """RC time constant 1/(2 pi f_c)."""
-        return 1e3 / (2.0 * math.pi * self.rc_cutoff_mhz)
-
-    @property
-    def high_samples(self) -> int:
-        """Samples per cycle at v_high: duty * samples_per_cycle, rounded into [1, spc - 1]."""
-        spc = int(self.samples_per_cycle)
-        return min(max(round(self.duty * spc), 1), spc - 1)
 
 
 @dataclass(frozen=True)

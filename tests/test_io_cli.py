@@ -563,7 +563,7 @@ def test_cli_non_finite_value_names_its_key(tmp_path, capsys, key, value):
     assert not (out / "switch_trace.csv").exists()
 
 
-@pytest.mark.parametrize("key", ["v_high_v", "v_low_v"])
+@pytest.mark.parametrize("key", ["v_high_v", "v_low_v", "v_start", "bias_v"])
 def test_cli_negative_rail_names_its_own_key(tmp_path, capsys, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = -1\n", encoding="utf-8")
@@ -585,6 +585,29 @@ def test_cli_rejects_negative_kappa(tmp_path, capsys, command):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error_class"] == "ConfigError"
     assert "kappa_ghz" in record["message"]
+
+
+@pytest.mark.parametrize("key", ["cavity_offset_ghz", "dot_offset_ghz"])
+def test_cli_metrics_rejects_a_non_finite_figure(tmp_path, capsys, key):
+    # Finite offsets whose half difference overflows when squared: the
+    # splitting comes out inf, which must not reach metrics.csv.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(f"{key} = 1e300\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("metrics", "--preset", "paper", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "DomainError"
+    assert "vacuum_rabi_splitting_GHz" in record["message"]
+    assert not (out / "metrics.csv").exists()
+
+
+def test_cli_unknown_preset_is_a_config_error(tmp_path, capsys):
+    code = run_cli("stark", "--preset", "no_such_preset", "--out", str(tmp_path / "o"))
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "ConfigError"
+    assert "unknown preset 'no_such_preset'" in record["message"]
 
 
 def test_zero_kappa_derives_cavity_decay_from_q(tmp_path):
