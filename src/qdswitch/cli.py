@@ -119,6 +119,16 @@ def _calibrated_cqed(cfg: RunConfig):
     return cqed, result.parameters["screening"], result
 
 
+def _require_finite(kind: str, rows) -> None:
+    """Raise DomainError naming the first (name, value, ...) row whose float
+    value or float array holds a NaN or inf, so none reaches a CSV."""
+    for name, value, *_ in rows:
+        values = np.asarray(value)
+        if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+            bad = values[~np.isfinite(values)].flat[0]
+            raise DomainError(f"{kind} {name} is not finite: {float(bad)!r}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -129,11 +139,15 @@ def _cmd_stark(cfg: RunConfig, args) -> int:
     limit = cfg["fit_field_limit_v_per_um"]
     volts = cfg.voltage_grid()
     fields = field_at_cavity(elec, volts)
-    rows = zip(volts, depletion_width(elec, volts), fields,
-               stark_shift(coeffs, sign * fields), fields > limit)
-    out = write_csv(Path(args.out) / "stark.csv",
-                    ["voltage_V", "x_d_um", "field_V_per_um", "shift_meV", "extrapolated"],
-                    rows)
+    columns = {
+        "voltage_V": volts,
+        "x_d_um": depletion_width(elec, volts),
+        "field_V_per_um": fields,
+        "shift_meV": stark_shift(coeffs, sign * fields),
+        "extrapolated": fields > limit,
+    }
+    _require_finite("column", columns.items())
+    out = write_csv(Path(args.out) / "stark.csv", list(columns), zip(*columns.values()))
     _finish(cfg, args, "stark", [out],
             {"summary.onset_voltage_V": onset_voltage(elec)})
     print(f"onset_voltage_V = {onset_voltage(elec)!r}")
@@ -178,7 +192,7 @@ def _cmd_switch(cfg: RunConfig, args) -> int:
     ratio = on_off_ratio(trace)
     trace_path = write_csv(Path(args.out) / "switch_trace.csv",
                            ["time_ns", "intensity"],
-                           np.column_stack([trace.times, trace.values]))
+                           np.array([trace.times, trace.values]).T)
     summary_rows = [
         ("drive_MHz", drive.frequency_mhz, "MHz"),
         ("on_off_ratio", ratio, "dimensionless"),
@@ -221,9 +235,7 @@ def _cmd_metrics(cfg: RunConfig, args) -> int:
         ("switching_energy_fJ", switching_energy(budget), "fJ"),
         ("screening", cfg.screening(), "dimensionless"),
     ]
-    for name, value, _ in rows:
-        if isinstance(value, float) and not np.isfinite(value):
-            raise DomainError(f"metric {name} is not finite: {value!r}")
+    _require_finite("metric", rows)
     out = write_csv(Path(args.out) / "metrics.csv", ["metric", "value", "unit"], rows)
     _finish(cfg, args, "metrics", [out])
     for name, value, _ in rows:
@@ -260,6 +272,7 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
     if result.covariance_diag:
         for name, var in sorted(result.covariance_diag.items()):
             rows.append((f"variance.{name}", var, ""))
+    _require_finite("parameter", rows)
     out = write_csv(Path(args.out) / "fit_report.csv",
                     ["parameter", "value", "unit"], rows)
     _finish(cfg, args, f"fit:{args.kind}", [out],
@@ -318,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         return _fail(exc, EXIT_NUMERIC)
 
 

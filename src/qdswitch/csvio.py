@@ -45,8 +45,10 @@ def write_csv(path: Path | str, header: Sequence[str],
     returns the path.  Values are formatted by format_value, column by
     column within each chunk, with the same bytes as value by value.  rows
     may be a 2-D array with one column per header name; a float array
-    formats each distinct value of a repetitive column once.  A row of the
-    wrong width, or an array of the wrong shape, raises and leaves no file."""
+    formats each distinct value of a repetitive column once, and a
+    column-major one (np.array(columns).T) is formatted with no column
+    copied.  A row of the wrong width, or an array of the wrong shape,
+    raises and leaves no file."""
     if not header:
         raise DomainError("CSV header must not be empty")
     path = Path(path)

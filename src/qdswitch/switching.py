@@ -76,11 +76,15 @@ def drive_samples(drive: DriveSpec) -> tuple[np.ndarray, np.ndarray]:
     constant over every sample interval.
     """
     spc = int(drive.samples_per_cycle)
-    n = int(drive.cycles) * spc
-    pos = np.arange(n) % spc
+    pos = np.arange(int(drive.cycles) * spc) % spc
     values = np.where(pos < drive.high_samples, drive.v_high, drive.v_low)
-    times = np.arange(n) * (drive.period_ns / spc)
-    return times, values.astype(float)
+    return _sample_times(drive), values.astype(float)
+
+
+def _sample_times(drive: DriveSpec) -> np.ndarray:
+    """Start time of every sample over all cycles, ns."""
+    spc = int(drive.samples_per_cycle)
+    return np.arange(int(drive.cycles) * spc) * (drive.period_ns / spc)
 
 
 def rc_response(drive: DriveSpec) -> TimeTrace:
@@ -94,7 +98,7 @@ def rc_response(drive: DriveSpec) -> TimeTrace:
     The fundamental harmonic of the steady-state output is attenuated by
     |H(f)| = (1 + (f/f_c)^2)^(-1/2) relative to the ideal square wave.
     """
-    times = drive_samples(drive)[0]
+    times = _sample_times(drive)
     spc = int(drive.samples_per_cycle)
     high = drive.high_samples
     decay = np.exp(-(np.arange(1, spc + 1) * (drive.period_ns / spc)) / drive.tau_ns)
@@ -135,17 +139,18 @@ def simulate_switching(
             stacklevel=2,
         )
 
+    # The model is elementwise, so it is evaluated on the retained window only.
+    skip = math.ceil(drive.cycles / 3) * int(drive.samples_per_cycle)
     line = rc_response(drive)
+    volts = line.values[skip:]
     omega_probe = cqed.dot_freq if probe_freq is None else probe_freq
 
-    detune = voltage_to_detuning(elec, stark, line.values, screening=screening,
+    detune = voltage_to_detuning(elec, stark, volts, screening=screening,
                                  field_sign=field_sign)
-    g = None if g_anchors is None else g_of_voltage(g_anchors, line.values)
+    g = None if g_anchors is None else g_of_voltage(g_anchors, volts)
     intensity = reflectivity_model(cqed, omega_probe, dot_freq=cqed.dot_freq + detune,
                                    coupling=g)
-
-    skip = math.ceil(drive.cycles / 3) * int(drive.samples_per_cycle)
-    return TimeTrace(line.times[skip:], intensity[skip:])
+    return TimeTrace(line.times[skip:], intensity)
 
 
 def on_off_ratio(trace: TimeTrace) -> float:

@@ -186,6 +186,20 @@ def test_write_csv_float_array_bytes_match_per_value_formatting(tmp_path_factory
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
+@settings(max_examples=40, deadline=None)
+@given(table=float_tables())
+def test_write_csv_column_major_table_matches_column_stack(tmp_path_factory, table):
+    # The switch trace is passed column-major (np.array(columns).T), which
+    # the float path formats without copying a column; the bytes must not
+    # depend on the table's memory order.
+    columns = list(table.T)
+    header = [f"c{k}" for k in range(len(columns))]
+    out = tmp_path_factory.mktemp("order")
+    by_rows = write_csv(out / "rows.csv", header, np.column_stack(columns))
+    by_columns = write_csv(out / "columns.csv", header, np.array(columns).T)
+    assert by_columns.read_bytes() == by_rows.read_bytes()
+
+
 ROW_KINDS = ["float", "float64", "float32", "int", "int64", "bool", "bool_", "str"]
 # "floats": float or np.float64 per value; "mixed": any of ROW_KINDS per value.
 CHUNK_KINDS = ROW_KINDS + ["floats", "mixed"]
@@ -600,6 +614,58 @@ def test_cli_metrics_rejects_a_non_finite_figure(tmp_path, capsys, key):
     assert record["error_class"] == "DomainError"
     assert "vacuum_rabi_splitting_GHz" in record["message"]
     assert not (out / "metrics.csv").exists()
+
+
+# These inputs make numpy warn on the way to the non-finite value; the
+# warning is expected stderr text here, the exit code and files are checked.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_stark_rejects_a_non_finite_column(tmp_path, capsys):
+    # A donor density whose product with the charge underflows to zero
+    # makes the depletion width infinite.
+    cfg = tmp_path / "thin.cfg"
+    cfg.write_text("nd_cm3 = 1e-300\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("stark", "--preset", "paper", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "DomainError"
+    assert "column x_d_um is not finite" in record["message"]
+    assert not (out / "stark.csv").exists()
+    assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("override", ["dot_offset_ghz = 1e300", "q_factor = 1e300",
+                                      "nd_cm3 = 1e-300"])
+def test_cli_fit_contrast_rejects_a_non_finite_residual(tmp_path, capsys, override):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(override + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("fit", "--kind", "contrast", "--preset", "paper", "--config", str(cfg),
+                   "--out", str(out))
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "DomainError"
+    assert "parameter residual_norm is not finite" in record["message"]
+    assert not (out / "fit_report.csv").exists()
+
+
+# Sizes beyond the 47-bit address space: numpy refuses the allocation up
+# front, even with memory overcommit, so no real memory is touched.
+@pytest.mark.parametrize("command, overrides", [
+    ("metrics", "detuning_points = 140737488355328"),
+    ("stark", "detuning_points = 140737488355328"),
+    ("switch", "cycles = 16777216\nsamples_per_cycle = 8388608"),
+])
+def test_cli_unallocatable_size_is_a_numeric_error(tmp_path, capsys, command, overrides):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(overrides + "\n", encoding="utf-8")
+    code = run_cli(command, "--preset", "paper", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_code"] == 2
+    assert "Unable to allocate" in record["message"]
 
 
 def test_cli_unknown_preset_is_a_config_error(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import qdswitch.switching as switching
 from qdswitch import (
     AdiabaticityWarning,
     DegenerateTraceError,
@@ -13,12 +17,15 @@ from qdswitch import (
     dc_contrast,
     drive_samples,
     fit_contrast,
+    g_of_voltage,
     on_off_ratio,
     rc_response,
     reflectivity_at,
     simulate_switching,
     switching_energy,
+    voltage_to_detuning,
 )
+from qdswitch.cqed import reflectivity_model
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,6 +218,81 @@ def test_adiabaticity_warning(device_elec, device_stark, device_cqed):
     with pytest.warns(AdiabaticityWarning):
         simulate_switching(DriveSpec(0.0, 10.0, 5000.0), device_elec,
                            device_stark, device_cqed)
+
+
+@st.composite
+def switching_inputs(draw):
+    """A drive, screening, probe frequency and optional coupling anchors."""
+    v_low = draw(st.floats(0.0, 6.0))
+    drive = DriveSpec(v_low, v_low + draw(st.floats(0.0, 10.0)), draw(st.floats(1.0, 300.0)),
+                      duty=draw(st.floats(0.1, 0.9)),
+                      rc_cutoff_mhz=draw(st.floats(20.0, 300.0)),
+                      cycles=draw(st.integers(3, 12)),
+                      samples_per_cycle=draw(st.integers(64, 512)))
+    probe = draw(st.none() | st.floats(-TWO_PI * 100.0, TWO_PI * 100.0))
+    g = st.floats(0.0, TWO_PI * 30.0)
+    anchors = draw(st.none() | st.builds(lambda g0, g1: [(0.0, g0), (7.0, g1)], g, g))
+    return drive, draw(st.floats(0.01, 1.0)), probe, anchors
+
+
+# The device fixtures are frozen dataclasses, so sharing them across
+# examples is safe.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=switching_inputs())
+def test_switching_trace_is_the_full_model_sliced_bit_for_bit(device_elec, device_stark,
+                                                              device_cqed, inputs):
+    drive, screening, probe, anchors = inputs
+    trace = simulate_switching(drive, device_elec, device_stark, device_cqed,
+                               screening=screening, probe_freq=probe, g_anchors=anchors)
+
+    line = rc_response(drive)
+    detune = voltage_to_detuning(device_elec, device_stark, line.values, screening=screening)
+    g = None if anchors is None else g_of_voltage(anchors, line.values)
+    full = reflectivity_model(device_cqed, device_cqed.dot_freq if probe is None else probe,
+                              dot_freq=device_cqed.dot_freq + detune, coupling=g)
+    skip = math.ceil(drive.cycles / 3) * drive.samples_per_cycle
+    assert trace.times.tobytes() == line.times[skip:].tobytes()
+    assert trace.values.tobytes() == full[skip:].tobytes()
+
+
+def test_switching_model_sees_only_the_retained_window(monkeypatch, device_elec,
+                                                       device_stark, device_cqed):
+    sizes = {}
+
+    def count_samples(name, position):
+        fn = getattr(switching, name)
+
+        def wrapper(*args, **kwargs):
+            sizes[name] = np.size(args[position])
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(switching, name, wrapper)
+
+    count_samples("voltage_to_detuning", 2)
+    count_samples("g_of_voltage", 1)
+    drive = DriveSpec(0.0, 10.0, 80.0, cycles=10, samples_per_cycle=300)
+    trace = simulate_switching(drive, device_elec, device_stark, device_cqed,
+                               screening=0.2, g_anchors=[(0.0, TWO_PI * 20.0),
+                                                         (7.0, TWO_PI * 15.0)])
+    retained = (10 - math.ceil(10 / 3)) * 300
+    assert sizes == {"voltage_to_detuning": retained, "g_of_voltage": retained}
+    assert trace.values.size == retained
+
+
+def test_switching_peak_memory_scales_with_the_retained_trace(device_elec, device_stark,
+                                                              device_cqed):
+    # 30 cycles x 4096 samples, the long-trace benchmark size.  Evaluating
+    # the model on the discarded transient too pushes the peak past 7.9x.
+    drive = DriveSpec(0.0, 10.0, 12.5, cycles=30, samples_per_cycle=4096)
+    simulate_switching(drive, device_elec, device_stark, device_cqed, screening=0.2)
+    tracemalloc.start()
+    try:
+        trace = simulate_switching(drive, device_elec, device_stark, device_cqed,
+                                   screening=0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * (trace.times.nbytes + trace.values.nbytes)
 
 
 def test_on_off_ratio_constant_trace():
