@@ -99,7 +99,8 @@ def _calibrated_cqed(cfg: RunConfig):
     Returns (cqed, screening, calibration FitResult or None).  The
     calibration holds the coupling at its configured value; fitted
     dot_decay and screening replace the configured ones.  A calibration
-    that did not converge or misses its targets raises ConfigError.
+    that did not converge or misses its targets raises ConfigError; one
+    whose residual is not finite raises DomainError.
     """
     from .fitting import fit_contrast
 
@@ -109,12 +110,14 @@ def _calibrated_cqed(cfg: RunConfig):
         return cqed, cfg.screening(), None
     result = fit_contrast(targets, cfg.electrostatic_params(), cfg.stark_coefficients(),
                           cqed, field_sign=cfg["field_sign"])
+    # A non-finite residual comes from the device values, not the targets.
+    _require_finite("calibration", [("residual_norm", result.residual_norm)])
     limit = CALIBRATION_RESIDUAL_REL * max(ratio for _, ratio in targets)
     if not (result.converged and result.residual_norm <= limit):
         raise ConfigError(
             f"contrast_targets cannot be reached by the model: calibration "
             f"converged = {result.converged}, residual_norm = {result.residual_norm!r} "
-            f"(limit {limit!r})")
+            f"(limit {limit!r}) (config key contrast_targets)")
     cqed = replace(cqed, dot_decay=result.parameters["dot_decay"])
     return cqed, result.parameters["screening"], result
 
@@ -254,8 +257,7 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
                                  field_sign=cfg["field_sign"])
     elif args.kind == "spectrum":
         spectrum = ingest_spectrum_csv(args.data, cfg["lambda0_nm"])
-        free = [name.strip() for name in cfg["fit_free"].split(",") if name.strip()]
-        result = fit_spectrum(spectrum, cfg.cqed_params(), free)
+        result = fit_spectrum(spectrum, cfg.cqed_params(), cfg.fit_free())
     else:
         targets = cfg["contrast_targets"]
         if not targets:

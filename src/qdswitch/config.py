@@ -11,7 +11,7 @@ internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -60,58 +60,58 @@ def _parse_targets(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-# key -> (parser, default, semantic field named in error messages)
-_KEYS: dict[str, tuple[Any, Any, str]] = {
+# key -> (parser, default)
+_KEYS: dict[str, tuple[Any, Any]] = {
     # electrostatics
-    "nd_cm3": (_parse_float, 9e15, "donor_density"),
-    "phi_v": (_parse_float, 0.36, "barrier_potential"),
-    "eps_r": (_parse_float, 12.9, "relative_permittivity"),
-    "dx_um": (_parse_float, 0.75, "electrode_distance"),
-    "field_sign": (_parse_float, -1.0, "field_sign"),
+    "nd_cm3": (_parse_float, 9e15),
+    "phi_v": (_parse_float, 0.36),
+    "eps_r": (_parse_float, 12.9),
+    "dx_um": (_parse_float, 0.75),
+    "field_sign": (_parse_float, -1.0),
     # Stark response
-    "dipole_mev_um_per_v": (_parse_float, -0.009, "stark_dipole"),
-    "polarizability_mev_um2_per_v2": (_parse_float, -0.015, "stark_polarizability"),
-    "fit_field_limit_v_per_um": (_parse_float, 5.0, "fit_field_limit"),
-    "screening": (_parse_float, 1.0, "screening"),
+    "dipole_mev_um_per_v": (_parse_float, -0.009),
+    "polarizability_mev_um2_per_v2": (_parse_float, -0.015),
+    "fit_field_limit_v_per_um": (_parse_float, 5.0),
+    "screening": (_parse_float, 1.0),
     # optical frame / coupled system (ordinary GHz in the file)
-    "lambda0_nm": (_parse_float, 935.0, "reference_wavelength"),
-    "q_factor": (_parse_float, 4000.0, "quality_factor"),
-    "kappa_ghz": (_parse_float, 0.0, "cavity_decay"),  # 0 means derive from Q
-    "g_ghz": (_parse_float, 20.0, "coupling"),
-    "gamma_ghz": (_parse_float, 0.1, "dot_decay"),
-    "cavity_offset_ghz": (_parse_float, 0.0, "cavity_freq"),
-    "dot_offset_ghz": (_parse_float, 0.0, "dot_freq"),
-    "amplitude": (_parse_float, 1.0, "amplitude"),
-    "background": (_parse_float, 0.0, "background"),
+    "lambda0_nm": (_parse_float, 935.0),
+    "q_factor": (_parse_float, 4000.0),
+    "kappa_ghz": (_parse_float, 0.0),  # 0 means derive from Q
+    "g_ghz": (_parse_float, 20.0),
+    "gamma_ghz": (_parse_float, 0.1),
+    "cavity_offset_ghz": (_parse_float, 0.0),
+    "dot_offset_ghz": (_parse_float, 0.0),
+    "amplitude": (_parse_float, 1.0),
+    "background": (_parse_float, 0.0),
     # optional coupling-versus-bias anchors (ordinary GHz)
-    "g_anchor_v": (_parse_float_list, (), "g_anchor_voltages"),
-    "g_anchor_ghz": (_parse_float_list, (), "g_anchor_couplings"),
+    "g_anchor_v": (_parse_float_list, ()),
+    "g_anchor_ghz": (_parse_float_list, ()),
     # drive
-    "v_low_v": (_parse_float, 0.0, "v_low"),
-    "v_high_v": (_parse_float, 10.0, "v_high"),
-    "drive_mhz": (_parse_float, 150.0, "drive_frequency"),
-    "duty": (_parse_float, 0.5, "duty"),
-    "rc_cutoff_mhz": (_parse_float, 100.0, "rc_cutoff"),
-    "cycles": (_parse_int, 9, "cycles"),
-    "samples_per_cycle": (_parse_int, 256, "samples_per_cycle"),
-    "probe_detuning_ghz": (_parse_float, 0.0, "probe_detuning"),
+    "v_low_v": (_parse_float, 0.0),
+    "v_high_v": (_parse_float, 10.0),
+    "drive_mhz": (_parse_float, 150.0),
+    "duty": (_parse_float, 0.5),
+    "rc_cutoff_mhz": (_parse_float, 100.0),
+    "cycles": (_parse_int, 9),
+    "samples_per_cycle": (_parse_int, 256),
+    "probe_detuning_ghz": (_parse_float, 0.0),
     # contrast calibration targets
-    "contrast_targets": (_parse_targets, (), "contrast_targets"),
+    "contrast_targets": (_parse_targets, ()),
     # sweep grids
-    "v_start": (_parse_float, 0.0, "v_start"),
-    "v_stop": (_parse_float, 10.0, "v_stop"),
-    "v_step": (_parse_float, 0.1, "v_step"),
-    "detuning_start_ghz": (_parse_float, -150.0, "detuning_start"),
-    "detuning_stop_ghz": (_parse_float, 150.0, "detuning_stop"),
-    "detuning_points": (_parse_int, 601, "detuning_points"),
-    "bias_v": (_parse_float, 0.0, "bias"),
+    "v_start": (_parse_float, 0.0),
+    "v_stop": (_parse_float, 10.0),
+    "v_step": (_parse_float, 0.1),
+    "detuning_start_ghz": (_parse_float, -150.0),
+    "detuning_stop_ghz": (_parse_float, 150.0),
+    "detuning_points": (_parse_int, 601),
+    "bias_v": (_parse_float, 0.0),
     # figures of merit
-    "active_volume_um3": (_parse_float, 0.2, "active_volume"),
-    "energy_field_v_per_um": (_parse_float, 5.0, "energy_field"),
+    "active_volume_um3": (_parse_float, 0.2),
+    "energy_field_v_per_um": (_parse_float, 5.0),
     # fitting
-    "fit_free": (str, "coupling,cavity_decay,dot_decay,amplitude", "fit_free"),
+    "fit_free": (str, "coupling,cavity_decay,dot_decay,amplitude"),
     # reproducibility
-    "seed": (_parse_int, 0, "seed"),
+    "seed": (_parse_int, 0),
 }
 
 
@@ -152,17 +152,15 @@ class RunConfig:
         """Angular kappa: explicit kappa_ghz wins over the Q-derived value."""
         if self["kappa_ghz"] > 0.0:
             return TWO_PI * self["kappa_ghz"]
-        try:
-            return kappa_from_q(self.optical_frame())
-        except DomainError as exc:
-            raise ConfigError(f"invalid quality_factor (key q_factor): {exc}") from exc
+        return kappa_from_q(self.optical_frame())
 
     def cqed_params(self) -> CqedParams:
         return _build(CqedParams, {
             "cavity_freq": ("cavity_offset_ghz", TWO_PI * self["cavity_offset_ghz"]),
             "dot_freq": ("dot_offset_ghz", TWO_PI * self["dot_offset_ghz"]),
             "coupling": ("g_ghz", TWO_PI * self["g_ghz"]),
-            "cavity_decay": ("kappa_ghz/q_factor", self.cavity_decay()),
+            "cavity_decay": ("kappa_ghz" if self["kappa_ghz"] > 0.0 else "q_factor",
+                             self.cavity_decay()),
             "dot_decay": ("gamma_ghz", TWO_PI * self["gamma_ghz"]),
             "amplitude": ("amplitude", self["amplitude"]),
             "background": ("background", self["background"]),
@@ -185,17 +183,22 @@ class RunConfig:
         gs = self["g_anchor_ghz"]
         if not volts and not gs:
             return None
-        if len(volts) != len(gs) or len(volts) < 2:
-            raise ConfigError(
-                "g_anchor_v and g_anchor_ghz must list the same >= 2 anchors")
+        if any(b <= a for a, b in zip(volts, volts[1:])):
+            raise ConfigError(f"g_anchor_v must be strictly increasing, got {volts} "
+                              "(config key g_anchor_v)")
+        if len(gs) != len(volts) or len(gs) < 2 or min(gs) < 0.0:
+            raise ConfigError(f"g_anchor_ghz must give one coupling >= 0 per g_anchor_v "
+                              f"voltage, at least two, got {gs} (config key g_anchor_ghz)")
         return tuple((v, TWO_PI * g) for v, g in zip(volts, gs))
 
     def voltage_grid(self) -> np.ndarray:
         start, stop, step = self["v_start"], self["v_stop"], self["v_step"]
         if start < 0.0:
             raise ConfigError(f"v_start must be >= 0, got {start} (config key v_start)")
-        if step <= 0.0 or stop < start:
-            raise ConfigError("voltage sweep needs v_step > 0 and v_stop >= v_start")
+        if step <= 0.0:
+            raise ConfigError(f"v_step must be > 0, got {step} (config key v_step)")
+        if stop < start:
+            raise ConfigError(f"v_stop must be >= v_start, got {stop} (config key v_stop)")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return start + step * np.arange(n)
 
@@ -203,34 +206,37 @@ class RunConfig:
         """Angular grid from the ordinary-GHz config window."""
         start, stop, points = (self["detuning_start_ghz"], self["detuning_stop_ghz"],
                                self["detuning_points"])
-        if points < 2 or stop <= start:
-            raise ConfigError(
-                "detuning grid needs detuning_points >= 2 and detuning_stop > detuning_start")
+        if points < 2:
+            raise ConfigError(f"detuning_points must be >= 2, got {points} "
+                              "(config key detuning_points)")
+        if stop <= start:
+            raise ConfigError(f"detuning_stop must be > detuning_start, got {stop} "
+                              "(config key detuning_stop_ghz)")
         return TWO_PI * np.linspace(start, stop, points)
 
     def screening(self) -> float:
         s = self["screening"]
         if not 0.0 <= s <= 1.0:
-            raise ConfigError(f"screening must be in [0, 1], got {s}")
+            raise ConfigError(f"screening must be in [0, 1], got {s} (config key screening)")
         return s
+
+    def fit_free(self) -> list[str]:
+        """CqedParams field names freed by fit --kind spectrum, in order."""
+        names = [name.strip() for name in self["fit_free"].split(",") if name.strip()]
+        known = [f.name for f in fields(CqedParams)]
+        if not names or not set(names) <= set(known):
+            raise ConfigError(f"fit_free must list some of {', '.join(known)}, "
+                              f"got '{self['fit_free']}' (config key fit_free)")
+        return names
 
 
 def _build(cls, mapping: dict[str, tuple[str, Any]]):
-    """Construct a validated domain object, rewrapping DomainErrors so the
-    message carries the key of its subject: the field it names first."""
-    kwargs = {name: value for name, (_, value) in mapping.items()}
+    """Construct a validated domain object from field -> (config key,
+    value); a DomainError is re-raised naming the key of its field."""
     try:
-        return cls(**kwargs)
+        return cls(**{name: value for name, (_, value) in mapping.items()})
     except DomainError as exc:
-        msg = str(exc)
-        hits = [(msg.find(_KEYS[key][2] if key in _KEYS else key), key)
-                for _, (key, _) in mapping.items()]
-        hits = [hit for hit in hits if hit[0] >= 0]
-        if hits:
-            key = min(hits, key=lambda hit: hit[0])[1]
-            raise ConfigError(f"{msg} (config key {key})") from exc
-        keys = "/".join(key for _, (key, _) in mapping.items())
-        raise ConfigError(f"{msg} (config keys {keys})") from exc
+        raise ConfigError(f"{exc} (config key {mapping[exc.field][0]})") from exc
 
 
 def parse_assignments(text: str, origin: str) -> dict[str, Any]:
@@ -249,18 +255,18 @@ def parse_assignments(text: str, origin: str) -> dict[str, Any]:
             raise ConfigError(f"{origin}:{lineno}: unknown key '{key}'")
         if key in out:
             raise ConfigError(f"{origin}:{lineno}: duplicate key '{key}'")
-        parser, _, semantic = _KEYS[key]
+        parser, _ = _KEYS[key]
         try:
             out[key] = parser(value)
         except ConfigError as exc:
-            raise ConfigError(f"{origin}:{lineno}: {semantic} (key {key}): {exc}") from exc
+            raise ConfigError(f"{origin}:{lineno}: {exc} (config key {key})") from exc
     return out
 
 
 def parse_config(*paths: Path | str) -> RunConfig:
     """Load one or more config files over the defaults, later files
     overriding earlier ones, and validate the result."""
-    values = {key: default for key, (_, default, _) in _KEYS.items()}
+    values = {key: default for key, (_, default) in _KEYS.items()}
     resolved = []
     for path in paths:
         p = Path(path)
@@ -285,19 +291,21 @@ def _validate(cfg: RunConfig) -> None:
     cfg.voltage_grid()
     cfg.detuning_grid()
     cfg.screening()
-    for v, ratio in cfg["contrast_targets"]:
-        if not (ratio >= 1.0 and v >= 0.0):
-            raise ConfigError(
-                f"contrast_targets entries need V >= 0 and ratio >= 1, got {v}:{ratio}")
+    cfg.fit_free()
+    targets = cfg["contrast_targets"]
+    for v, ratio in targets:
+        if len(targets) < 2 or not (ratio >= 1.0 and v >= 0.0):
+            raise ConfigError(f"contrast_targets need two or more V:ratio pairs with V >= 0 "
+                              f"and ratio >= 1, got {v}:{ratio} (config key contrast_targets)")
     if cfg["bias_v"] < 0.0:
         raise ConfigError(f"bias must be >= 0, got {cfg['bias_v']} (config key bias_v)")
     if cfg["kappa_ghz"] < 0.0:
-        raise ConfigError("cavity_decay (key kappa_ghz) must be >= 0; 0 derives it from q_factor")
+        raise ConfigError("cavity_decay must be >= 0, 0 derives it from Q (config key kappa_ghz)")
     if cfg["active_volume_um3"] <= 0.0:
-        raise ConfigError("active_volume (key active_volume_um3) must be > 0")
+        raise ConfigError("active_volume must be > 0 (config key active_volume_um3)")
     if cfg["energy_field_v_per_um"] < 0.0:
-        raise ConfigError("energy_field (key energy_field_v_per_um) must be >= 0")
+        raise ConfigError("energy_field must be >= 0 (config key energy_field_v_per_um)")
     if cfg["fit_field_limit_v_per_um"] <= 0.0:
-        raise ConfigError("fit_field_limit (key fit_field_limit_v_per_um) must be > 0")
+        raise ConfigError("fit_field_limit must be > 0 (config key fit_field_limit_v_per_um)")
     if abs(cfg["field_sign"]) != 1.0:
-        raise ConfigError("field_sign (key field_sign) must be +1 or -1")
+        raise ConfigError("field_sign must be +1 or -1 (config key field_sign)")

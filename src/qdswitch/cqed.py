@@ -45,15 +45,15 @@ class CqedParams:
 
     def __post_init__(self) -> None:
         if self.coupling < 0.0:
-            raise DomainError("coupling must be >= 0")
+            raise DomainError("coupling must be >= 0", field="coupling")
         if not self.cavity_decay > 0.0:
-            raise DomainError("cavity_decay must be > 0")
+            raise DomainError("cavity_decay must be > 0", field="cavity_decay")
         if not self.dot_decay > 0.0:
-            raise DomainError("dot_decay must be > 0")
+            raise DomainError("dot_decay must be > 0", field="dot_decay")
         if not self.amplitude > 0.0:
-            raise DomainError("amplitude must be > 0")
+            raise DomainError("amplitude must be > 0", field="amplitude")
         if self.background < 0.0:
-            raise DomainError("background must be >= 0")
+            raise DomainError("background must be >= 0", field="background")
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ class OpticalFrame:
 
     def __post_init__(self) -> None:
         if not self.reference_wavelength_nm > 0.0:
-            raise DomainError("reference_wavelength must be > 0")
+            raise DomainError("reference_wavelength must be > 0", field="reference_wavelength_nm")
         if self.quality_factor is not None and not self.quality_factor > 0.0:
-            raise DomainError("quality_factor must be > 0")
+            raise DomainError("quality_factor must be > 0", field="quality_factor")
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,10 @@ class Spectrum:
 
     def __len__(self) -> int:
         return int(self.detunings.size)
+
+
+# Half width of the onset band around g = (kappa + gamma)/2, relative.
+ONSET_MARGIN = 0.1
 
 
 class CouplingRegime(enum.Enum):
@@ -187,13 +191,13 @@ def pl_spectrum(params: CqedParams, detunings) -> Spectrum:
     return Spectrum(grid, params.background + params.amplitude * total)
 
 
-def coupling_regime(params: CqedParams, margin: float = 0.1) -> CouplingRegime:
-    """Classify against g = (kappa + gamma)/2 with a +-margin onset band."""
+def coupling_regime(params: CqedParams) -> CouplingRegime:
+    """Classify against g = (kappa + gamma)/2 with a +-ONSET_MARGIN onset band."""
     threshold = 0.5 * (params.cavity_decay + params.dot_decay)
     ratio = params.coupling / threshold
-    if ratio > 1.0 + margin:
+    if ratio > 1.0 + ONSET_MARGIN:
         return CouplingRegime.STRONG
-    if ratio >= 1.0 - margin:
+    if ratio >= 1.0 - ONSET_MARGIN:
         return CouplingRegime.ONSET
     return CouplingRegime.WEAK
 

@@ -53,13 +53,13 @@ class ElectrostaticParams:
 
     def __post_init__(self) -> None:
         if not self.donor_density_cm3 > 0.0:
-            raise DomainError("donor_density must be > 0")
+            raise DomainError("donor_density must be > 0", field="donor_density_cm3")
         if not self.barrier_potential_v > 0.0:
-            raise DomainError("barrier_potential must be > 0")
+            raise DomainError("barrier_potential must be > 0", field="barrier_potential_v")
         if not self.relative_permittivity >= 1.0:
-            raise DomainError("relative_permittivity must be >= 1")
+            raise DomainError("relative_permittivity must be >= 1", field="relative_permittivity")
         if not self.electrode_distance_um > 0.0:
-            raise DomainError("electrode_distance must be > 0")
+            raise DomainError("electrode_distance must be > 0", field="electrode_distance_um")
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,9 @@ class StarkCoefficients:
     polarizability_mev_um2_per_v2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dipole_mev_um_per_v)
-                and math.isfinite(self.polarizability_mev_um2_per_v2)):
-            raise DomainError("Stark coefficients must be finite")
+        for name in ("dipole_mev_um_per_v", "polarizability_mev_um2_per_v2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError("Stark coefficients must be finite", field=name)
 
 
 @dataclass(frozen=True)
@@ -99,25 +99,25 @@ class DriveSpec:
     samples_per_cycle: int = 256
 
     def __post_init__(self) -> None:
-        for name, value in (("v_low", self.v_low), ("v_high", self.v_high),
-                            ("drive_frequency", self.frequency_mhz),
-                            ("rc_cutoff", self.rc_cutoff_mhz)):
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+        for name, attr in (("v_low", "v_low"), ("v_high", "v_high"),
+                           ("drive_frequency", "frequency_mhz"), ("rc_cutoff", "rc_cutoff_mhz")):
+            if not math.isfinite(getattr(self, attr)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, attr)}", field=attr)
         if not self.v_low >= 0.0:
-            raise DomainError("v_low must be >= 0")
+            raise DomainError("v_low must be >= 0", field="v_low")
         if not self.v_high >= self.v_low:
-            raise DomainError("v_high must be >= v_low")
+            raise DomainError("v_high must be >= v_low", field="v_high")
         if not self.frequency_mhz > 0.0:
-            raise DomainError("drive_frequency must be > 0")
+            raise DomainError("drive_frequency must be > 0", field="frequency_mhz")
         if not 0.0 < self.duty < 1.0:
-            raise DomainError("duty must be in (0, 1)")
+            raise DomainError("duty must be in (0, 1)", field="duty")
         if not self.rc_cutoff_mhz > 0.0:
-            raise DomainError("rc_cutoff must be > 0")
+            raise DomainError("rc_cutoff must be > 0", field="rc_cutoff_mhz")
         if int(self.cycles) != self.cycles or self.cycles < 3:
-            raise DomainError("cycles must be an integer >= 3")
+            raise DomainError("cycles must be an integer >= 3", field="cycles")
         if int(self.samples_per_cycle) != self.samples_per_cycle or self.samples_per_cycle < 64:
-            raise DomainError("samples_per_cycle must be an integer >= 64")
+            raise DomainError("samples_per_cycle must be an integer >= 64",
+                              field="samples_per_cycle")
 
     @property
     def period_ns(self) -> float:

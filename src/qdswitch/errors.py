@@ -6,7 +6,12 @@ class QdSwitchError(Exception):
 
 
 class DomainError(QdSwitchError, ValueError):
-    """Input outside an operation's physical or numerical domain."""
+    """Input outside an operation's physical or numerical domain; field, when
+    set, names the constructor argument a validated type rejected."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DegenerateFitError(DomainError):

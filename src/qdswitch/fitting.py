@@ -15,7 +15,7 @@ domain.  Everything is deterministic for a given dataset and start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,8 +39,7 @@ GRADIENT_TOL = 1e-8
 
 # CqedParams fields that must stay positive; fitted on a log scale.
 _LOG_SCALE_PARAMS = frozenset({"coupling", "cavity_decay", "dot_decay", "amplitude"})
-_CQED_FIELDS = ("cavity_freq", "dot_freq", "coupling", "cavity_decay",
-                "dot_decay", "amplitude", "background")
+_CQED_FIELDS = tuple(f.name for f in fields(CqedParams))
 _CQED_UNITS = {
     "cavity_freq": "angular GHz",
     "dot_freq": "angular GHz",
@@ -358,11 +357,10 @@ def dc_contrast(
     v_on: float,
     *,
     screening: float = 1.0,
-    v_off: float = 0.0,
     field_sign: float = DEFAULT_FIELD_SIGN,
 ) -> float:
-    """Model on/off ratio between two bias levels with the probe at the
-    zero-bias dot frequency; the per-point form of the calibration model."""
+    """Model on/off ratio of bias v_on against zero bias with the probe at
+    the zero-bias dot frequency; the per-point form of the calibration model."""
     probe = cqed.dot_freq
 
     def point(v: float) -> float:
@@ -370,7 +368,7 @@ def dc_contrast(
                                      field_sign=field_sign)
         return reflectivity_at(replace(cqed, dot_freq=cqed.dot_freq + detune), probe)
 
-    return point(v_on) / point(v_off)
+    return point(v_on) / point(0.0)
 
 
 def _contrast_problem(cqed: CqedParams, unscreened: np.ndarray, ratios: np.ndarray):

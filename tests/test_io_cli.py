@@ -650,6 +650,23 @@ def test_cli_fit_contrast_rejects_a_non_finite_residual(tmp_path, capsys, overri
     assert not (out / "fit_report.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("override", ["dot_offset_ghz = 1e300", "q_factor = 1e300",
+                                      "nd_cm3 = 1e-300"])
+def test_cli_switch_rejects_a_non_finite_calibration_residual(tmp_path, capsys, override):
+    # The residual is NaN from the start point on: the device values are at
+    # fault, so the refusal must not blame contrast_targets.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(override + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("switch", "--preset", "paper", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "DomainError"
+    assert "calibration residual_norm is not finite" in record["message"]
+    assert not list(out.glob("*.csv"))
+
+
 # Sizes beyond the 47-bit address space: numpy refuses the allocation up
 # front, even with memory overcommit, so no real memory is touched.
 @pytest.mark.parametrize("command, overrides", [
@@ -674,6 +691,36 @@ def test_cli_unknown_preset_is_a_config_error(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error_class"] == "ConfigError"
     assert "unknown preset 'no_such_preset'" in record["message"]
+
+
+@pytest.mark.parametrize("volts, couplings, key", [
+    ("5, 3", "20, 10", "g_anchor_v"),
+    ("0, 7", "20, -1", "g_anchor_ghz"),
+    ("0, 7, 9", "20, 10", "g_anchor_ghz"),
+    ("7", "20", "g_anchor_ghz"),
+])
+def test_cli_rejects_bad_coupling_anchors_at_any_bias(tmp_path, capsys, volts, couplings,
+                                                      key):
+    # bias_v = 0 never interpolates the anchors; they are checked anyway.
+    cfg = tmp_path / "anchors.cfg"
+    cfg.write_text(f"g_anchor_v = {volts}\ng_anchor_ghz = {couplings}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("spectrum", "--preset", "paper", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "ConfigError"
+    assert record["message"].endswith(f"(config key {key})")
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_config_anchors_and_free_set_come_out_parsed(tmp_path):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("g_anchor_v = 0, 7\ng_anchor_ghz = 20, 15\n"
+                   "fit_free = dot_decay, , coupling,\n", encoding="utf-8")
+    parsed = parse_config(cfg)
+    assert parsed.g_anchors() == ((0.0, TWO_PI * 20.0), (7.0, TWO_PI * 15.0))
+    assert parsed.fit_free() == ["dot_decay", "coupling"]
+    assert parsed["fit_free"] == "dot_decay, , coupling,"
 
 
 def test_zero_kappa_derives_cavity_decay_from_q(tmp_path):
