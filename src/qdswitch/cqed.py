@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +44,10 @@ class CqedParams:
     background: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in _CQED_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}", field=name)
         if self.coupling < 0.0:
             raise DomainError("coupling must be >= 0", field="coupling")
         if not self.cavity_decay > 0.0:
@@ -54,6 +58,9 @@ class CqedParams:
             raise DomainError("amplitude must be > 0", field="amplitude")
         if self.background < 0.0:
             raise DomainError("background must be >= 0", field="background")
+
+
+_CQED_FIELDS = tuple(f.name for f in fields(CqedParams))
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,9 @@ class DriveSpec:
             raise DomainError("duty must be in (0, 1)", field="duty")
         if not self.rc_cutoff_mhz > 0.0:
             raise DomainError("rc_cutoff must be > 0", field="rc_cutoff_mhz")
-        if int(self.cycles) != self.cycles or self.cycles < 3:
+        if not (_is_whole(self.cycles) and self.cycles >= 3):
             raise DomainError("cycles must be an integer >= 3", field="cycles")
-        if int(self.samples_per_cycle) != self.samples_per_cycle or self.samples_per_cycle < 64:
+        if not (_is_whole(self.samples_per_cycle) and self.samples_per_cycle >= 64):
             raise DomainError("samples_per_cycle must be an integer >= 64",
                               field="samples_per_cycle")
 
@@ -133,6 +133,14 @@ class DriveSpec:
         """Samples per cycle at v_high: duty * samples_per_cycle, rounded into [1, spc - 1]."""
         spc = int(self.samples_per_cycle)
         return min(max(round(self.duty * spc), 1), spc - 1)
+
+
+def _is_whole(value) -> bool:
+    """value is an integer or a float with an integer value; not NaN or inf."""
+    try:
+        return int(value) == value
+    except (ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)

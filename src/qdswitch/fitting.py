@@ -15,13 +15,13 @@ domain.  Everything is deterministic for a given dataset and start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cqed import (CqedParams, Spectrum, _intensity, reflectivity_at, reflectivity_model,
-                   reflectivity_terms)
+from .cqed import (_CQED_FIELDS, CqedParams, Spectrum, _intensity, reflectivity_at,
+                   reflectivity_model, reflectivity_terms)
 from .electrostatics import (
     DEFAULT_FIELD_SIGN,
     ElectrostaticParams,
@@ -39,7 +39,6 @@ GRADIENT_TOL = 1e-8
 
 # CqedParams fields that must stay positive; fitted on a log scale.
 _LOG_SCALE_PARAMS = frozenset({"coupling", "cavity_decay", "dot_decay", "amplitude"})
-_CQED_FIELDS = tuple(f.name for f in fields(CqedParams))
 _CQED_UNITS = {
     "cavity_freq": "angular GHz",
     "dot_freq": "angular GHz",

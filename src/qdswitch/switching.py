@@ -30,6 +30,9 @@ from .errors import AdiabaticityWarning, DegenerateTraceError, DomainError
 
 # Adiabaticity guard: warn when drive frequency exceeds kappa/(2 pi)/10.
 ADIABATIC_MARGIN = 10.0
+# Samples per step when a trace is checked or the switching model is
+# evaluated, so their temporaries do not grow with the trace.
+BLOCK_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,17 @@ class TimeTrace:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 2 or v.shape != t.shape:
             raise DomainError("trace needs matching 1-D arrays with >= 2 samples")
-        steps = np.diff(t)
-        if not np.all(steps > 0.0):
-            raise DomainError("times must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        # Steps are checked BLOCK_SAMPLES at a time against the first one;
+        # a step that is not positive anywhere is reported before any
+        # non-uniform one.
+        first = t[1] - t[0]
+        uniform = True
+        for start in range(0, t.size - 1, BLOCK_SAMPLES):
+            steps = np.diff(t[start:start + BLOCK_SAMPLES + 1])
+            if not np.all(steps > 0.0):
+                raise DomainError("times must be strictly increasing")
+            uniform = uniform and np.allclose(steps, first, rtol=1e-9, atol=0.0)
+        if not uniform:
             raise DomainError("times must be uniformly sampled")
         if not (np.all(np.isfinite(v)) and np.all(v >= 0.0)):
             raise DomainError("trace values must be finite and non-negative")
@@ -81,10 +91,37 @@ def drive_samples(drive: DriveSpec) -> tuple[np.ndarray, np.ndarray]:
     return _sample_times(drive), values.astype(float)
 
 
-def _sample_times(drive: DriveSpec) -> np.ndarray:
-    """Start time of every sample over all cycles, ns."""
+def _sample_times(drive: DriveSpec, first: int = 0) -> np.ndarray:
+    """Start time in ns of every sample from index first to the end."""
     spc = int(drive.samples_per_cycle)
-    return np.arange(int(drive.cycles) * spc) * (drive.period_ns / spc)
+    times = np.arange(first, int(drive.cycles) * spc, dtype=float)
+    times *= drive.period_ns / spc
+    return times
+
+
+def _rc_line(drive: DriveSpec, skip_cycles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times and line voltages of every sample after the first skip_cycles
+    cycles, by the segment recurrence of rc_response.
+
+    Both arrays are allocated before any cycle is walked.  A skipped
+    segment is carried as its end value alone, level + (y - level) *
+    decay[length - 1]: the same float operations as the last element of a
+    kept segment, so the kept samples have the bits of a full run sliced.
+    """
+    spc = int(drive.samples_per_cycle)
+    times = _sample_times(drive, skip_cycles * spc)
+    out = np.empty(times.size + 1)  # the last segment also writes one sample past the end
+    decay = np.exp(-(np.arange(1, spc + 1) * (drive.period_ns / spc)) / drive.tau_ns)
+    segments = [(drive.v_high, drive.high_samples), (drive.v_low, spc - drive.high_samples)]
+    y = drive.v_low
+    for level, length in segments * skip_cycles:
+        y = level + (y - level) * decay[length - 1]
+    out[0] = y
+    start = 0
+    for level, length in segments * (int(drive.cycles) - skip_cycles):
+        out[start + 1:start + length + 1] = level + (out[start] - level) * decay[:length]
+        start += length
+    return times, out[:-1]
 
 
 def rc_response(drive: DriveSpec) -> TimeTrace:
@@ -94,21 +131,12 @@ def rc_response(drive: DriveSpec) -> TimeTrace:
     The drive holds a level U over whole segments of samples (two per
     cycle), so m samples into a segment that starts at Vf = y0 the
     output is U + (y0 - U) exp(-m dt / tau), with no integration error.
+    This is the no-skip case of the recurrence simulate_switching runs.
 
     The fundamental harmonic of the steady-state output is attenuated by
     |H(f)| = (1 + (f/f_c)^2)^(-1/2) relative to the ideal square wave.
     """
-    times = _sample_times(drive)
-    spc = int(drive.samples_per_cycle)
-    high = drive.high_samples
-    decay = np.exp(-(np.arange(1, spc + 1) * (drive.period_ns / spc)) / drive.tau_ns)
-    out = np.empty(times.size + 1)
-    out[0] = drive.v_low
-    start = 0
-    for level, length in [(drive.v_high, high), (drive.v_low, spc - high)] * int(drive.cycles):
-        out[start + 1:start + length + 1] = level + (out[start] - level) * decay[:length]
-        start += length
-    return TimeTrace(times, out[:-1])
+    return TimeTrace(*_rc_line(drive, 0))
 
 
 def simulate_switching(
@@ -128,7 +156,13 @@ def simulate_switching(
     at cqed.coupling unless g_anchors supplies a bias dependence.  The
     probe sits at the zero-bias dot frequency unless probe_freq is
     given.  The first ceil(cycles/3) cycles are discarded as the RC
-    transient.
+    transient: the line carries each of their segments as one end value.
+
+    Only the retained samples are stored.  The field map, the coupling
+    interpolation and the reflectivity kernel are elementwise, so they
+    run BLOCK_SAMPLES at a time, each block's intensities overwriting its
+    line voltages; the result has the bits of the full model sliced, and
+    memory scales with the returned trace.
     """
     drive_ghz = drive.frequency_mhz * 1e-3
     if drive_ghz > cqed.cavity_decay / (2.0 * math.pi) / ADIABATIC_MARGIN:
@@ -139,18 +173,16 @@ def simulate_switching(
             stacklevel=2,
         )
 
-    # The model is elementwise, so it is evaluated on the retained window only.
-    skip = math.ceil(drive.cycles / 3) * int(drive.samples_per_cycle)
-    line = rc_response(drive)
-    volts = line.values[skip:]
+    times, values = _rc_line(drive, math.ceil(drive.cycles / 3))
     omega_probe = cqed.dot_freq if probe_freq is None else probe_freq
-
-    detune = voltage_to_detuning(elec, stark, volts, screening=screening,
-                                 field_sign=field_sign)
-    g = None if g_anchors is None else g_of_voltage(g_anchors, volts)
-    intensity = reflectivity_model(cqed, omega_probe, dot_freq=cqed.dot_freq + detune,
-                                   coupling=g)
-    return TimeTrace(line.times[skip:], intensity)
+    for start in range(0, values.size, BLOCK_SAMPLES):
+        volts = values[start:start + BLOCK_SAMPLES]
+        detune = voltage_to_detuning(elec, stark, volts, screening=screening,
+                                     field_sign=field_sign)
+        g = None if g_anchors is None else g_of_voltage(g_anchors, volts)
+        volts[:] = reflectivity_model(cqed, omega_probe, dot_freq=cqed.dot_freq + detune,
+                                      coupling=g)
+    return TimeTrace(times, values)
 
 
 def on_off_ratio(trace: TimeTrace) -> float:

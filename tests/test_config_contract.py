@@ -179,3 +179,35 @@ def test_bad_value_table_covers_every_checked_field():
     for cls, table in _BAD.items():
         unchecked = {"cavity_freq", "dot_freq"} if cls is CqedParams else set()
         assert set(table) | unchecked == {f.name for f in fields(cls)}
+
+
+# Finite config values whose angular form (x 2 pi) overflows to inf.
+@pytest.mark.parametrize("command", ["spectrum", "metrics", "switch"])
+@pytest.mark.parametrize("key", ["g_ghz", "cavity_offset_ghz", "dot_offset_ghz",
+                                 "kappa_ghz", "gamma_ghz"])
+def test_cli_overflowing_angular_value_exits_1_naming_its_key(tmp_path, capsys, command,
+                                                              key):
+    out = tmp_path / "o"
+    code = main([command, "--preset", "paper", "--config",
+                 str(_override(tmp_path, key, "1e308")), "--out", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "ConfigError"
+    assert record["message"].endswith(f"(config key {key})")
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(CqedParams)])
+def test_cqed_params_checks_finiteness_before_bounds(name, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be finite") as info:
+        CqedParams(**{**_VALID[CqedParams], name: bad})
+    assert info.value.field == name
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["cycles", "samples_per_cycle"])
+def test_drive_spec_rejects_a_non_finite_size_naming_it(name, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer") as info:
+        DriveSpec(**{**_VALID[DriveSpec], name: bad})
+    assert info.value.field == name

@@ -1,13 +1,21 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdswitch import ConfigError, DomainError, IngestError, kappa_from_q
+from qdswitch import (
+    ConfigError,
+    DomainError,
+    DriveSpec,
+    IngestError,
+    kappa_from_q,
+    simulate_switching,
+)
 from qdswitch.cli import main
 from qdswitch.config import parse_config
 from qdswitch.constants import GHZ_PER_MEV
@@ -260,6 +268,43 @@ def test_write_csv_rows_bytes_match_per_value_formatting(tmp_path_factory, rows,
         with pytest.raises(DomainError, match="width"):
             write_csv(path, header, iter(rows[:bad] + [wrong] + rows[bad + 1:]))
         assert not path.exists()
+
+
+def _sorted_edges(n):
+    """n strictly increasing floats across many magnitudes, -inf to inf."""
+    rng = np.random.default_rng(13)
+    inner = np.unique(rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n))
+    return np.concatenate([[-math.inf], inner[:n - 2], [math.inf]])
+
+
+@pytest.mark.parametrize("column", [
+    _sorted_edges(2 * WRITE_CHUNK_ROWS + 37),                      # strictly increasing
+    np.repeat(_sorted_edges(WRITE_CHUNK_ROWS + 5), 2),             # increasing, not strictly
+    np.array([-0.0, 0.0] * 3000 + [5e-324, math.nan]),             # few distinct bit patterns
+])
+def test_write_csv_float_column_kinds_match_per_value_formatting(tmp_path, column):
+    table = np.column_stack([column, column[::-1]])
+    path = write_csv(tmp_path / "k.csv", ["a", "b"], table)
+    lines = ["a,b"] + [",".join(map(format_value, row)) for row in table.tolist()]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_write_csv_trace_table_peak_memory_stays_below_the_table(tmp_path, device_elec,
+                                                                 device_stark, device_cqed):
+    # The switch trace table: a strictly increasing time column and an
+    # intensity column that repeats every cycle.  A per-row index array or
+    # a whole-column sort of the time axis exceeds this bound.
+    drive = DriveSpec(0.0, 10.0, 12.5, cycles=30, samples_per_cycle=4096)
+    trace = simulate_switching(drive, device_elec, device_stark, device_cqed, screening=0.2)
+    table = np.array([trace.times, trace.values]).T
+    write_csv(tmp_path / "trace.csv", ["time_ns", "intensity"], table)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "trace.csv", ["time_ns", "intensity"], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table.nbytes
 
 
 @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 1), (5, 2, 1)])

@@ -295,6 +295,56 @@ def test_switching_peak_memory_scales_with_the_retained_trace(device_elec, devic
     assert peak <= 6.5 * (trace.times.nbytes + trace.values.nbytes)
 
 
+def test_switching_peak_memory_is_within_twice_the_returned_trace(device_elec, device_stark,
+                                                                 device_cqed):
+    # The long-trace benchmark size.  Holding the discarded transient, or
+    # the model's temporaries over the whole window, exceeds this bound.
+    drive = DriveSpec(0.0, 10.0, 12.5, cycles=30, samples_per_cycle=4096)
+    simulate_switching(drive, device_elec, device_stark, device_cqed, screening=0.2)
+    tracemalloc.start()
+    try:
+        trace = simulate_switching(drive, device_elec, device_stark, device_cqed,
+                                   screening=0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * (trace.times.nbytes + trace.values.nbytes)
+
+
+def whole_window_model(drive, elec, stark, cqed, screening, probe, anchors):
+    """Reference: the full rc_response line through the model in one call,
+    sliced to the retained cycles."""
+    line = rc_response(drive)
+    detune = voltage_to_detuning(elec, stark, line.values, screening=screening)
+    g = None if anchors is None else g_of_voltage(anchors, line.values)
+    full = reflectivity_model(cqed, cqed.dot_freq if probe is None else probe,
+                              dot_freq=cqed.dot_freq + detune, coupling=g)
+    skip = math.ceil(drive.cycles / 3) * drive.samples_per_cycle
+    return line.times[skip:], full[skip:]
+
+
+# Each retained window spans several model blocks and ends part-way through one.
+@pytest.mark.parametrize("drive, probe, anchors", [
+    (DriveSpec(0.0, 12.0, 47.3, rc_cutoff_mhz=3.0, cycles=31, samples_per_cycle=777),
+     None, None),
+    (DriveSpec(1.0, 9.0, 150.0, duty=0.31, cycles=10, samples_per_cycle=3001),
+     TWO_PI * 0.5, [(0.0, TWO_PI * 20.0), (7.0, TWO_PI * 15.0)]),
+    (DriveSpec(0.0, 14.0, 5.0, duty=0.31, rc_cutoff_mhz=3.0, cycles=3,
+               samples_per_cycle=9000), None, None),
+])
+def test_switching_trace_is_the_sliced_full_line_model_bit_for_bit(device_elec, device_stark,
+                                                                   device_cqed, drive, probe,
+                                                                   anchors):
+    trace = simulate_switching(drive, device_elec, device_stark, device_cqed,
+                               screening=0.2, probe_freq=probe, g_anchors=anchors)
+    times, values = whole_window_model(drive, device_elec, device_stark, device_cqed, 0.2,
+                                       probe, anchors)
+    assert trace.values.size > switching.BLOCK_SAMPLES
+    assert trace.values.size % switching.BLOCK_SAMPLES
+    assert trace.times.tobytes() == times.tobytes()
+    assert trace.values.tobytes() == values.tobytes()
+
+
 def test_on_off_ratio_constant_trace():
     trace = TimeTrace(np.linspace(0.0, 1.0, 64), np.full(64, 0.7))
     assert on_off_ratio(trace) == 1.0
