@@ -175,7 +175,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
     pl = pl_spectrum(cqed, grid)
     out = write_csv(Path(args.out) / "spectrum.csv",
                     ["detuning_GHz", "reflectivity", "pl"],
-                    np.column_stack([grid / TWO_PI, refl.intensities, pl.intensities]))
+                    columns=[grid / TWO_PI, refl.intensities, pl.intensities])
     _finish(cfg, args, "spectrum", [out], {"summary.bias_V": bias})
     print(f"points = {len(refl)}")
     return EXIT_OK
@@ -194,8 +194,7 @@ def _cmd_switch(cfg: RunConfig, args) -> int:
     )
     ratio = on_off_ratio(trace)
     trace_path = write_csv(Path(args.out) / "switch_trace.csv",
-                           ["time_ns", "intensity"],
-                           np.array([trace.times, trace.values]).T)
+                           ["time_ns", "intensity"], columns=[trace.times, trace.values])
     summary_rows = [
         ("drive_MHz", drive.frequency_mhz, "MHz"),
         ("on_off_ratio", ratio, "dimensionless"),

@@ -1,9 +1,17 @@
 """CSV emission and ingestion.
 
 Files are UTF-8, comma separated, newline terminated, always with a
-header row.  Floats are serialized with Python's shortest round-trip
-representation, so emit-then-ingest recovers values exactly; output is
-byte-identical across reruns of the same configuration.
+header row.  Floats are written as repr(float(v)), Python's shortest
+round-trip representation, so emit-then-ingest recovers values exactly;
+output is byte-identical across reruns of the same configuration.
+
+Float columns (a 2-D float array, or columns=) are formatted with no
+Python string per value, by floattext's exact-integer kernel: for
+1e-4 <= |v| < 2**52 it finds repr's shortest digits for a whole array at
+once, with Ryu's method (Adams, PLDI 2018), scaling each value by a
+power of ten and bounding its rounding interval by 64-bit integers; any
+other value (+-0.0, subnormals, |v| < 1e-4 or >= 2**52, inf, nan) keeps
+repr's own text.  Either way the bytes equal repr(float(v)).
 """
 
 from __future__ import annotations
@@ -40,30 +48,43 @@ def format_value(value) -> str:
 
 
 def write_csv(path: Path | str, header: Sequence[str],
-              rows: Iterable[Sequence] | np.ndarray) -> Path:
+              rows: Iterable[Sequence] | np.ndarray | None = None, *,
+              columns: Sequence[np.ndarray] | None = None) -> Path:
     """Write rows under a mandatory header, WRITE_CHUNK_ROWS at a time;
-    returns the path.  Values are formatted by format_value, column by
-    column within each chunk, with the same bytes as value by value.  rows
-    may be a 2-D array with one column per header name; a float array
-    formats each distinct value of a repetitive column once, skips the
-    search for repeats in a strictly increasing column, and holds no
-    per-row index array.  A column-major one (np.array(columns).T) is
-    formatted with no column copied, so the extra memory is a chunk of
-    text plus, per repetitive column, its distinct values.  A row of the
-    wrong width, or an array of the wrong shape, raises and leaves no
-    file."""
+    returns the path.  Values are formatted by format_value, with the same
+    bytes as value by value.  Give either rows, or columns: one equal-length
+    1-D float array per header name, written without being stacked.  rows
+    may be a 2-D array with one column per header name.  Float columns are
+    formatted by floattext.float_text, each chunk packed into one buffer; a
+    repetitive column has each distinct value formatted once, and a
+    strictly increasing one skips the search for repeats.  Columns, and a
+    column-major table (np.array(columns).T), are not copied, so the extra
+    memory is a chunk of text plus, per repetitive column, its distinct
+    values.  A row of the wrong width, or columns or an array of the wrong
+    shape, raises and leaves no file."""
     if not header:
         raise DomainError("CSV header must not be empty")
     path = Path(path)
     width = len(header)
-    if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != width):
-        raise DomainError(f"CSV array of shape {rows.shape} does not match "
-                          f"a {width}-column header")
+    if (rows is None) == (columns is None):
+        raise DomainError("write_csv takes either rows or columns")
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise DomainError(f"CSV array of shape {rows.shape} does not match "
+                              f"a {width}-column header")
+        if rows.dtype.kind == "f":
+            columns = list(rows.T)
+    if columns is not None:
+        columns = [np.asarray(column, dtype=np.float64) for column in columns]
+        shapes = {column.shape for column in columns}
+        if len(columns) != width or len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise DomainError(f"CSV columns of shapes {[c.shape for c in columns]} do not "
+                              f"match a {width}-column header")
     try:
-        with path.open("w", encoding="utf-8") as f:
-            f.write(",".join(header) + "\n")
-            if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-                _write_float_columns(f, rows)
+        with path.open("wb") as f:
+            f.write((",".join(header) + "\n").encode("utf-8"))
+            if columns is not None:
+                _write_float_columns(f, columns)
             else:
                 _write_rows(f, iter(rows), width)
     except BaseException:
@@ -76,7 +97,8 @@ def _write_rows(f, rows, width: int) -> None:
     while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
         if any(len(row) != width for row in chunk):
             raise DomainError("CSV row width differs from header")
-        _write_cells(f, [_format_column(column) for column in zip(*chunk)])
+        cells = [_format_column(column) for column in zip(*chunk)]
+        f.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
 
 
 def _format_column(column: tuple) -> list[str]:
@@ -87,30 +109,37 @@ def _format_column(column: tuple) -> list[str]:
     return list(map(format_value, column))
 
 
-def _write_float_columns(f, table: np.ndarray) -> None:
-    columns = [_column_text(column) for column in np.asarray(table, dtype=np.float64).T]
-    for start in range(0, table.shape[0], WRITE_CHUNK_ROWS):
-        stop = start + WRITE_CHUNK_ROWS
-        _write_cells(f, [text(start, stop) for text in columns])
-
-
-def _write_cells(f, cells: list[list[str]]) -> None:
-    """Write one chunk given as formatted columns of equal length."""
-    f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+def _write_float_columns(f, columns: list[np.ndarray]) -> None:
+    """Each chunk as one buffer: its texts, each followed by a comma or a
+    newline byte, in a row matrix whose zero bytes are dropped."""
+    texts = [_column_text(column) for column in columns]
+    for start in range(0, columns[0].size, WRITE_CHUNK_ROWS):
+        fields = [text(start, start + WRITE_CHUNK_ROWS) for text in texts]
+        rows, width = fields[0].shape
+        line = np.empty((rows, len(fields), width + 1), dtype=np.uint8)
+        for k, field in enumerate(fields):
+            line[:, k, :-1] = field
+        line[:, :, -1] = ord(",")
+        line[:, -1, -1] = ord("\n")
+        line = line.ravel()
+        f.write(line[line != 0])
 
 
 def _column_text(column: np.ndarray):
-    """(start, stop) -> repr of each value in column[start:stop].
+    """(start, stop) -> float_text of column[start:stop].
 
     A strictly increasing column (a time axis) has no repeats, so it is
     formatted chunk by chunk with no search for them.  Any other column
     has its distinct values found by bit pattern, so -0.0 and 0.0 stay
     apart.  If at most half its values are distinct, as in a periodic
-    steady-state trace, each distinct value is formatted once and every
-    chunk looks its values up in that table with np.searchsorted, so no
-    per-row index array is held; otherwise it too is formatted chunk by
-    chunk, and no whole-column string table is held.
+    steady-state trace, each distinct value is formatted once into a
+    table of texts, and every chunk looks its values up in it with
+    np.searchsorted, so no per-row index array is held; otherwise it too
+    is formatted chunk by chunk.
     """
+    # Imported here, so that commands writing no float column never load it.
+    from .floattext import TEXT_BYTES, float_text
+
     column = np.ascontiguousarray(column)
     if not np.all(column[1:] > column[:-1]):
         # Sorted rather than np.unique, whose hash-table path (taken when no
@@ -120,18 +149,22 @@ def _column_text(column: np.ndarray):
         distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
         del ordered
         if 2 * distinct.size <= column.size:
-            table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+            values = distinct.view(np.float64)
+            table = np.empty((distinct.size, TEXT_BYTES), dtype=np.uint8)
+            for start in range(0, distinct.size, WRITE_CHUNK_ROWS):
+                stop = start + WRITE_CHUNK_ROWS
+                table[start:stop] = float_text(values[start:stop])
 
-            def lookup(start: int, stop: int) -> list[str]:
+            def lookup(start: int, stop: int) -> np.ndarray:
                 # Searching in key order keeps the binary search's branches
                 # predictable: about half the time of searching row by row.
                 chunk = bits[start:stop]
                 order = np.argsort(chunk)
                 index = np.empty(chunk.size, dtype=np.intp)
                 index[order] = np.searchsorted(distinct, chunk[order])
-                return table[index].tolist()
+                return table.take(index, axis=0)
             return lookup
-    return lambda start, stop: list(map(repr, column[start:stop].tolist()))
+    return lambda start, stop: float_text(column[start:stop])
 
 
 def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.ndarray]:

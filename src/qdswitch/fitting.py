@@ -308,8 +308,6 @@ def fit_spectrum(
         raise DomainError(f"unknown free parameter(s): {', '.join(unknown)}")
     if not names:
         raise DomainError("free parameter set must not be empty")
-    if not np.all(np.isfinite(spectrum.intensities)):
-        raise DomainError("spectrum intensities contain non-finite values")
 
     x, residual_norm, converged, iterations, jtj = _levenberg_marquardt(
         _spectrum_problem(spectrum, initial, names), _pack(initial, names))

@@ -21,11 +21,12 @@ HASH_BLOCK_BYTES = 1 << 20
 
 
 def sha256_file(path: Path | str) -> str:
-    """Hex SHA-256 of a file, read in HASH_BLOCK_BYTES blocks."""
+    """Hex SHA-256 of a file, read in HASH_BLOCK_BYTES blocks, one at a time."""
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         while block := f.read(HASH_BLOCK_BYTES):
             digest.update(block)
+            del block  # before the next read, so two blocks are never held
     return digest.hexdigest()
 
 

@@ -74,9 +74,16 @@ class EnergyBudget:
     relative_permittivity: float
 
     def __post_init__(self) -> None:
-        if not (self.active_volume_um3 > 0.0 and self.field_v_per_um >= 0.0
-                and self.relative_permittivity > 0.0):
-            raise DomainError("energy budget needs volume > 0, permittivity > 0, field >= 0")
+        for name in ("active_volume_um3", "field_v_per_um", "relative_permittivity"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}",
+                                  field=name)
+        if not self.active_volume_um3 > 0.0:
+            raise DomainError("active_volume_um3 must be > 0", field="active_volume_um3")
+        if not self.field_v_per_um >= 0.0:
+            raise DomainError("field_v_per_um must be >= 0", field="field_v_per_um")
+        if not self.relative_permittivity > 0.0:
+            raise DomainError("relative_permittivity must be > 0", field="relative_permittivity")
 
 
 def drive_samples(drive: DriveSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -54,6 +54,10 @@ GOLDEN = {
         "c5cd3f0523ff11502ddd8f75ae3651ed05432a1b6d18d692e67dbd4f89458631",
     ("spectrum", "spectrum.csv"):
         "1bf71164cbb1d1d926a886f6358ffc6b7dfd112065fbc2d771bb907258746c77",
+    ("spectrum_bias", "manifest.txt"):
+        "852339c9f92393b350aa8edf19eeea26caa935e047f55907caf3f5b86448d6ae",
+    ("spectrum_bias", "spectrum.csv"):
+        "70d406304c6b2fc355a417386aba354e8ce50fc3046790e3e8da32451b40ffc6",
     ("stark", "manifest.txt"):
         "bc163a70916713c4754aee5331df3bbea8f86dfed573341f628244839c042432",
     ("stark", "stark.csv"):
@@ -76,6 +80,9 @@ GOLDEN = {
 RUNS = {
     "stark": (["stark"], None),
     "spectrum": (["spectrum"], None),
+    # A biased spectrum: the Stark-shifted dot and an interpolated coupling.
+    "spectrum_bias": (["spectrum"], "bias_v = 7.5\ng_anchor_v = 0, 5, 10\n"
+                                    "g_anchor_ghz = 20, 17, 12\n"),
     "switch": (["switch"], None),
     "switch_long": (["switch"], "drive_mhz = 10\ncycles = 6\nsamples_per_cycle = 4096\n"),
     "metrics": (["metrics"], None),

@@ -307,6 +307,55 @@ def test_write_csv_trace_table_peak_memory_stays_below_the_table(tmp_path, devic
     assert peak <= 1.5 * table.nbytes
 
 
+@settings(max_examples=20, deadline=None)
+@given(table=float_tables())
+def test_write_csv_columns_match_the_stacked_table(tmp_path_factory, table):
+    # columns= writes 1-D arrays as they are; the bytes are the 2-D table's.
+    header = [f"c{k}" for k in range(table.shape[1])]
+    out = tmp_path_factory.mktemp("columns")
+    stacked = write_csv(out / "stacked.csv", header, table)
+    by_columns = write_csv(out / "columns.csv", header, columns=list(table.T.copy()))
+    assert by_columns.read_bytes() == stacked.read_bytes()
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros(5)],                                  # too few for the header
+    [np.zeros(5), np.zeros(5), np.zeros(5)],        # too many
+    [np.zeros(5), np.zeros(4)],                     # unequal lengths
+    [np.zeros((5, 1)), np.zeros((5, 1))],           # not 1-D
+])
+def test_write_csv_columns_of_wrong_shape_leave_no_file(tmp_path, columns):
+    with pytest.raises(DomainError, match="shape"):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], columns=columns)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_write_csv_takes_rows_or_columns(tmp_path):
+    for kwargs in ({}, {"rows": np.zeros((2, 2)), "columns": [np.zeros(2)] * 2}):
+        with pytest.raises(DomainError, match="rows or columns"):
+            write_csv(tmp_path / "bad.csv", ["a", "b"], **kwargs)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_cli_switch_peak_memory_stays_near_the_trace(tmp_path):
+    # The command writes the trace's two columns as they are, and neither the
+    # CSV writer nor the manifest hash holds more than a chunk or a block.
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("cycles = 30\nsamples_per_cycle = 4096\n", encoding="utf-8")
+    argv = ["switch", "--preset", "paper", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 0
+    trace_bytes = 2 * 8 * (len((tmp_path / "o" / "switch_trace.csv").read_bytes()
+                                .splitlines()) - 1)
+    assert trace_bytes == 2 * 8 * 20 * 4096
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * trace_bytes
+
+
 @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 1), (5, 2, 1)])
 def test_write_csv_array_of_wrong_shape_leaves_no_file(tmp_path, shape):
     with pytest.raises(DomainError, match="shape"):

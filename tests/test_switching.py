@@ -378,6 +378,26 @@ def test_switching_energy_scalings():
         == pytest.approx(2.0 * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["active_volume_um3", "field_v_per_um",
+                                   "relative_permittivity"])
+def test_energy_budget_rejects_a_non_finite_field_by_name(field, bad):
+    values = {"active_volume_um3": 0.2, "field_v_per_um": 5.0, "relative_permittivity": 12.9}
+    with pytest.raises(DomainError, match="finite") as info:
+        EnergyBudget(**{**values, field: bad})
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("field, bad", [("active_volume_um3", 0.0),
+                                        ("field_v_per_um", -1.0),
+                                        ("relative_permittivity", 0.0)])
+def test_energy_budget_names_a_field_out_of_bounds(field, bad):
+    values = {"active_volume_um3": 0.2, "field_v_per_um": 5.0, "relative_permittivity": 12.9}
+    with pytest.raises(DomainError) as info:
+        EnergyBudget(**{**values, field: bad})
+    assert info.value.field == field
+
+
 def test_time_trace_validation():
     with pytest.raises(DomainError):
         TimeTrace(np.array([0.0, 1.0, 1.5]), np.array([1.0, 1.0, 1.0]))
