@@ -20,7 +20,7 @@ import numpy as np
 from .constants import TWO_PI
 from .cqed import CqedParams, OpticalFrame, kappa_from_q
 from .electrostatics import DriveSpec, ElectrostaticParams, StarkCoefficients
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_value
 
 
 def _parse_float(text: str) -> float:
@@ -60,8 +60,8 @@ def _parse_targets(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-# key -> (parser, default)
-_KEYS: dict[str, tuple[Any, Any]] = {
+# key -> (parser, default[, (kind, bound) of a key no domain type checks])
+_KEYS: dict[str, tuple] = {
     # electrostatics
     "nd_cm3": (_parse_float, 9e15),
     "phi_v": (_parse_float, 0.36),
@@ -71,12 +71,12 @@ _KEYS: dict[str, tuple[Any, Any]] = {
     # Stark response
     "dipole_mev_um_per_v": (_parse_float, -0.009),
     "polarizability_mev_um2_per_v2": (_parse_float, -0.015),
-    "fit_field_limit_v_per_um": (_parse_float, 5.0),
-    "screening": (_parse_float, 1.0),
+    "fit_field_limit_v_per_um": (_parse_float, 5.0, (">", 0.0)),
+    "screening": (_parse_float, 1.0, ("[]", (0.0, 1.0))),
     # optical frame / coupled system (ordinary GHz in the file)
     "lambda0_nm": (_parse_float, 935.0),
     "q_factor": (_parse_float, 4000.0),
-    "kappa_ghz": (_parse_float, 0.0),  # 0 means derive from Q
+    "kappa_ghz": (_parse_float, 0.0, (">=", 0.0)),  # 0 means derive from Q
     "g_ghz": (_parse_float, 20.0),
     "gamma_ghz": (_parse_float, 0.1),
     "cavity_offset_ghz": (_parse_float, 0.0),
@@ -98,16 +98,16 @@ _KEYS: dict[str, tuple[Any, Any]] = {
     # contrast calibration targets
     "contrast_targets": (_parse_targets, ()),
     # sweep grids
-    "v_start": (_parse_float, 0.0),
+    "v_start": (_parse_float, 0.0, (">=", 0.0)),
     "v_stop": (_parse_float, 10.0),
-    "v_step": (_parse_float, 0.1),
+    "v_step": (_parse_float, 0.1, (">", 0.0)),
     "detuning_start_ghz": (_parse_float, -150.0),
     "detuning_stop_ghz": (_parse_float, 150.0),
-    "detuning_points": (_parse_int, 601),
-    "bias_v": (_parse_float, 0.0),
+    "detuning_points": (_parse_int, 601, ("int>=", 2)),
+    "bias_v": (_parse_float, 0.0, (">=", 0.0)),
     # figures of merit
-    "active_volume_um3": (_parse_float, 0.2),
-    "energy_field_v_per_um": (_parse_float, 5.0),
+    "active_volume_um3": (_parse_float, 0.2, (">", 0.0)),
+    "energy_field_v_per_um": (_parse_float, 5.0, (">=", 0.0)),
     # fitting
     "fit_free": (str, "coupling,cavity_decay,dot_decay,amplitude"),
     # reproducibility
@@ -193,10 +193,6 @@ class RunConfig:
 
     def voltage_grid(self) -> np.ndarray:
         start, stop, step = self["v_start"], self["v_stop"], self["v_step"]
-        if start < 0.0:
-            raise ConfigError(f"v_start must be >= 0, got {start} (config key v_start)")
-        if step <= 0.0:
-            raise ConfigError(f"v_step must be > 0, got {step} (config key v_step)")
         if stop < start:
             raise ConfigError(f"v_stop must be >= v_start, got {stop} (config key v_stop)")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -206,19 +202,13 @@ class RunConfig:
         """Angular grid from the ordinary-GHz config window."""
         start, stop, points = (self["detuning_start_ghz"], self["detuning_stop_ghz"],
                                self["detuning_points"])
-        if points < 2:
-            raise ConfigError(f"detuning_points must be >= 2, got {points} "
-                              "(config key detuning_points)")
         if stop <= start:
             raise ConfigError(f"detuning_stop must be > detuning_start, got {stop} "
                               "(config key detuning_stop_ghz)")
         return TWO_PI * np.linspace(start, stop, points)
 
     def screening(self) -> float:
-        s = self["screening"]
-        if not 0.0 <= s <= 1.0:
-            raise ConfigError(f"screening must be in [0, 1], got {s} (config key screening)")
-        return s
+        return self["screening"]
 
     def fit_free(self) -> list[str]:
         """CqedParams field names freed by fit --kind spectrum, in order."""
@@ -255,10 +245,12 @@ def parse_assignments(text: str, origin: str) -> dict[str, Any]:
             raise ConfigError(f"{origin}:{lineno}: unknown key '{key}'")
         if key in out:
             raise ConfigError(f"{origin}:{lineno}: duplicate key '{key}'")
-        parser, _ = _KEYS[key]
+        parser, _, *checks = _KEYS[key]
         try:
             out[key] = parser(value)
-        except ConfigError as exc:
+            for kind, bound in checks:
+                check_value(key, out[key], kind, bound, field=key)
+        except (ConfigError, DomainError) as exc:
             raise ConfigError(f"{origin}:{lineno}: {exc} (config key {key})") from exc
     return out
 
@@ -266,7 +258,7 @@ def parse_assignments(text: str, origin: str) -> dict[str, Any]:
 def parse_config(*paths: Path | str) -> RunConfig:
     """Load one or more config files over the defaults, later files
     overriding earlier ones, and validate the result."""
-    values = {key: default for key, (_, default) in _KEYS.items()}
+    values = {key: spec[1] for key, spec in _KEYS.items()}
     resolved = []
     for path in paths:
         p = Path(path)
@@ -290,22 +282,11 @@ def _validate(cfg: RunConfig) -> None:
     cfg.g_anchors()
     cfg.voltage_grid()
     cfg.detuning_grid()
-    cfg.screening()
     cfg.fit_free()
     targets = cfg["contrast_targets"]
     for v, ratio in targets:
         if len(targets) < 2 or not (ratio >= 1.0 and v >= 0.0):
             raise ConfigError(f"contrast_targets need two or more V:ratio pairs with V >= 0 "
                               f"and ratio >= 1, got {v}:{ratio} (config key contrast_targets)")
-    if cfg["bias_v"] < 0.0:
-        raise ConfigError(f"bias must be >= 0, got {cfg['bias_v']} (config key bias_v)")
-    if cfg["kappa_ghz"] < 0.0:
-        raise ConfigError("cavity_decay must be >= 0, 0 derives it from Q (config key kappa_ghz)")
-    if cfg["active_volume_um3"] <= 0.0:
-        raise ConfigError("active_volume must be > 0 (config key active_volume_um3)")
-    if cfg["energy_field_v_per_um"] < 0.0:
-        raise ConfigError("energy_field must be >= 0 (config key energy_field_v_per_um)")
-    if cfg["fit_field_limit_v_per_um"] <= 0.0:
-        raise ConfigError("fit_field_limit must be > 0 (config key fit_field_limit_v_per_um)")
     if abs(cfg["field_sign"]) != 1.0:
         raise ConfigError("field_sign must be +1 or -1 (config key field_sign)")

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_NM_NS
-from .errors import DomainError
+from .errors import DomainError, check_domains, domain
 
 
 @dataclass(frozen=True)
@@ -35,29 +35,15 @@ class CqedParams:
     and background collapse all setup optics into two numbers.
     """
 
-    cavity_freq: float
-    dot_freq: float
-    coupling: float
-    cavity_decay: float
-    dot_decay: float
-    amplitude: float = 1.0
-    background: float = 0.0
+    cavity_freq: float = domain("finite")
+    dot_freq: float = domain("finite")
+    coupling: float = domain(">=", 0.0)
+    cavity_decay: float = domain(">", 0.0)
+    dot_decay: float = domain(">", 0.0)
+    amplitude: float = domain(">", 0.0, default=1.0)
+    background: float = domain(">=", 0.0, default=0.0)
 
-    def __post_init__(self) -> None:
-        for name in _CQED_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}", field=name)
-        if self.coupling < 0.0:
-            raise DomainError("coupling must be >= 0", field="coupling")
-        if not self.cavity_decay > 0.0:
-            raise DomainError("cavity_decay must be > 0", field="cavity_decay")
-        if not self.dot_decay > 0.0:
-            raise DomainError("dot_decay must be > 0", field="dot_decay")
-        if not self.amplitude > 0.0:
-            raise DomainError("amplitude must be > 0", field="amplitude")
-        if self.background < 0.0:
-            raise DomainError("background must be >= 0", field="background")
+    __post_init__ = check_domains
 
 
 _CQED_FIELDS = tuple(f.name for f in fields(CqedParams))
@@ -67,14 +53,10 @@ _CQED_FIELDS = tuple(f.name for f in fields(CqedParams))
 class OpticalFrame:
     """Reference optical frame: operating wavelength and loaded Q."""
 
-    reference_wavelength_nm: float = 935.0
-    quality_factor: float | None = None
+    reference_wavelength_nm: float = domain(">", 0.0, label="reference_wavelength", default=935.0)
+    quality_factor: float | None = domain(">", 0.0, default=None)
 
-    def __post_init__(self) -> None:
-        if not self.reference_wavelength_nm > 0.0:
-            raise DomainError("reference_wavelength must be > 0", field="reference_wavelength_nm")
-        if self.quality_factor is not None and not self.quality_factor > 0.0:
-            raise DomainError("quality_factor must be > 0", field="quality_factor")
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)

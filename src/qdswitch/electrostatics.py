@@ -28,7 +28,7 @@ from .constants import (
     UM3_PER_CM3,
     VACUUM_PERMITTIVITY_F_UM,
 )
-from .errors import DomainError
+from .errors import DomainError, check_domains, check_value, domain
 
 # Sign convention for the field seen by the dot: negative toward the
 # electrode.  With the fitted coefficients below this reproduces the
@@ -46,20 +46,12 @@ class ElectrostaticParams:
     electrode_distance_um: electrode edge to cavity center, um
     """
 
-    donor_density_cm3: float
-    barrier_potential_v: float
-    relative_permittivity: float
-    electrode_distance_um: float
+    donor_density_cm3: float = domain(">", 0.0, label="donor_density")
+    barrier_potential_v: float = domain(">", 0.0, label="barrier_potential")
+    relative_permittivity: float = domain(">=", 1.0)
+    electrode_distance_um: float = domain(">", 0.0, label="electrode_distance")
 
-    def __post_init__(self) -> None:
-        if not self.donor_density_cm3 > 0.0:
-            raise DomainError("donor_density must be > 0", field="donor_density_cm3")
-        if not self.barrier_potential_v > 0.0:
-            raise DomainError("barrier_potential must be > 0", field="barrier_potential_v")
-        if not self.relative_permittivity >= 1.0:
-            raise DomainError("relative_permittivity must be >= 1", field="relative_permittivity")
-        if not self.electrode_distance_um > 0.0:
-            raise DomainError("electrode_distance must be > 0", field="electrode_distance_um")
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -72,13 +64,10 @@ class StarkCoefficients:
     Both may be negative; no sign constraint beyond finiteness.
     """
 
-    dipole_mev_um_per_v: float
-    polarizability_mev_um2_per_v2: float
+    dipole_mev_um_per_v: float = domain("finite")
+    polarizability_mev_um2_per_v2: float = domain("finite")
 
-    def __post_init__(self) -> None:
-        for name in ("dipole_mev_um_per_v", "polarizability_mev_um2_per_v2"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError("Stark coefficients must be finite", field=name)
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -90,34 +79,18 @@ class DriveSpec:
     duty * samples_per_cycle should be an integer (it is rounded to one).
     """
 
-    v_low: float
-    v_high: float
-    frequency_mhz: float
-    duty: float = 0.5
-    rc_cutoff_mhz: float = 100.0
-    cycles: int = 9
-    samples_per_cycle: int = 256
+    v_low: float = domain(">=", 0.0)
+    v_high: float = domain("finite")
+    frequency_mhz: float = domain(">", 0.0, label="drive_frequency")
+    duty: float = domain("()", (0.0, 1.0), default=0.5)
+    rc_cutoff_mhz: float = domain(">", 0.0, label="rc_cutoff", default=100.0)
+    cycles: int = domain("int>=", 3, default=9)
+    samples_per_cycle: int = domain("int>=", 64, default=256)
 
     def __post_init__(self) -> None:
-        for name, attr in (("v_low", "v_low"), ("v_high", "v_high"),
-                           ("drive_frequency", "frequency_mhz"), ("rc_cutoff", "rc_cutoff_mhz")):
-            if not math.isfinite(getattr(self, attr)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, attr)}", field=attr)
-        if not self.v_low >= 0.0:
-            raise DomainError("v_low must be >= 0", field="v_low")
+        check_domains(self)
         if not self.v_high >= self.v_low:
             raise DomainError("v_high must be >= v_low", field="v_high")
-        if not self.frequency_mhz > 0.0:
-            raise DomainError("drive_frequency must be > 0", field="frequency_mhz")
-        if not 0.0 < self.duty < 1.0:
-            raise DomainError("duty must be in (0, 1)", field="duty")
-        if not self.rc_cutoff_mhz > 0.0:
-            raise DomainError("rc_cutoff must be > 0", field="rc_cutoff_mhz")
-        if not (_is_whole(self.cycles) and self.cycles >= 3):
-            raise DomainError("cycles must be an integer >= 3", field="cycles")
-        if not (_is_whole(self.samples_per_cycle) and self.samples_per_cycle >= 64):
-            raise DomainError("samples_per_cycle must be an integer >= 64",
-                              field="samples_per_cycle")
 
     @property
     def period_ns(self) -> float:
@@ -133,14 +106,6 @@ class DriveSpec:
         """Samples per cycle at v_high: duty * samples_per_cycle, rounded into [1, spc - 1]."""
         spc = int(self.samples_per_cycle)
         return min(max(round(self.duty * spc), 1), spc - 1)
-
-
-def _is_whole(value) -> bool:
-    """value is an integer or a float with an integer value; not NaN or inf."""
-    try:
-        return int(value) == value
-    except (ValueError, OverflowError):
-        return False
 
 
 @dataclass(frozen=True)
@@ -224,9 +189,7 @@ def stark_shift(coeffs: StarkCoefficients, field):
 
 def apply_screening(shift_mev, screening: float):
     """Scale a shift by the free-carrier screening factor in [0, 1]."""
-    if not 0.0 <= screening <= 1.0:
-        raise DomainError(f"screening must be in [0, 1], got {screening}")
-    return screening * shift_mev
+    return check_value("screening", screening, "[]", (0.0, 1.0)) * shift_mev
 
 
 def voltage_to_detuning(

@@ -31,7 +31,7 @@ from .electrostatics import (
     stark_shift,
     voltage_to_detuning,
 )
-from .errors import DegenerateFitError, DomainError
+from .errors import DegenerateFitError, DomainError, check_value
 
 MAX_ITERATIONS = 500
 REL_RESIDUAL_TOL = 1e-9
@@ -339,9 +339,7 @@ def dot_decay_from_contrast(ratio: float, coupling: float, cavity_decay: float) 
     gamma = g^2 / (C kappa); r = 1 means no dip at all, i.e. infinite
     broadening.
     """
-    if not 1.0 <= ratio < math.inf:
-        raise DomainError(f"on/off ratio must be finite and >= 1, got {ratio}")
-    c = math.sqrt(ratio) - 1.0
+    c = math.sqrt(check_value("on/off ratio", ratio, ">=", 1.0)) - 1.0
     if c == 0.0:
         return math.inf
     return coupling ** 2 / (c * cavity_decay)

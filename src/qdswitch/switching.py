@@ -26,7 +26,7 @@ from .electrostatics import (
     StarkCoefficients,
     voltage_to_detuning,
 )
-from .errors import AdiabaticityWarning, DegenerateTraceError, DomainError
+from .errors import AdiabaticityWarning, DegenerateTraceError, DomainError, check_domains, domain
 
 # Adiabaticity guard: warn when drive frequency exceeds kappa/(2 pi)/10.
 ADIABATIC_MARGIN = 10.0
@@ -69,21 +69,11 @@ class TimeTrace:
 class EnergyBudget:
     """Stored-field energy inputs: volume in um^3, field in V/um."""
 
-    active_volume_um3: float
-    field_v_per_um: float
-    relative_permittivity: float
+    active_volume_um3: float = domain(">", 0.0)
+    field_v_per_um: float = domain(">=", 0.0)
+    relative_permittivity: float = domain(">", 0.0)
 
-    def __post_init__(self) -> None:
-        for name in ("active_volume_um3", "field_v_per_um", "relative_permittivity"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}",
-                                  field=name)
-        if not self.active_volume_um3 > 0.0:
-            raise DomainError("active_volume_um3 must be > 0", field="active_volume_um3")
-        if not self.field_v_per_um >= 0.0:
-            raise DomainError("field_v_per_um must be >= 0", field="field_v_per_um")
-        if not self.relative_permittivity > 0.0:
-            raise DomainError("relative_permittivity must be > 0", field="relative_permittivity")
+    __post_init__ = check_domains
 
 
 def drive_samples(drive: DriveSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -1,0 +1,151 @@
+"""Scalar domains: declared once, tested finite first, then against the bound.
+
+check_value is the one test; the validated types declare their fields'
+domains with domain(), and the config keys no type checks declare theirs
+in config._KEYS, checked as each line is read.
+"""
+
+import math
+import operator
+import re
+from dataclasses import fields
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qdswitch import (
+    ConfigError,
+    CqedParams,
+    DomainError,
+    DriveSpec,
+    ElectrostaticParams,
+    OpticalFrame,
+    StarkCoefficients,
+)
+from qdswitch.config import _KEYS, parse_config
+from qdswitch.errors import check_value
+from qdswitch.switching import EnergyBudget
+
+VALID = {
+    ElectrostaticParams: dict(donor_density_cm3=9e15, barrier_potential_v=0.36,
+                              relative_permittivity=12.9, electrode_distance_um=0.75),
+    StarkCoefficients: dict(dipole_mev_um_per_v=-0.009,
+                            polarizability_mev_um2_per_v2=-0.015),
+    DriveSpec: dict(v_low=0.0, v_high=10.0, frequency_mhz=150.0, duty=0.5,
+                    rc_cutoff_mhz=100.0, cycles=9, samples_per_cycle=256),
+    CqedParams: dict(cavity_freq=0.0, dot_freq=0.0, coupling=125.0, cavity_decay=250.0,
+                     dot_decay=0.6, amplitude=1.0, background=0.0),
+    OpticalFrame: dict(reference_wavelength_nm=935.0, quality_factor=4000.0),
+    EnergyBudget: dict(active_volume_um3=0.2, field_v_per_um=5.0, relative_permittivity=12.9),
+}
+
+DECLARED = [(cls, f.name, *f.metadata["domain"]) for cls in VALID for f in fields(cls)
+            if "domain" in f.metadata]
+
+
+def test_every_field_of_the_validated_types_declares_its_domain():
+    assert {(cls, name) for cls, name, *_ in DECLARED} \
+        == {(cls, f.name) for cls in VALID for f in fields(cls)}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name, kind, bound, label", DECLARED)
+def test_non_finite_field_is_rejected_naming_it(cls, name, kind, bound, label, bad):
+    cls(**VALID[cls])
+    rule = "an integer" if kind == "int>=" else "finite"
+    with pytest.raises(DomainError, match=f"^{label or name} must be {rule}") as info:
+        cls(**{**VALID[cls], name: bad})
+    assert info.value.field == name
+
+
+def test_optional_quality_factor_accepts_none():
+    assert OpticalFrame(935.0, None).quality_factor is None
+
+
+# One bad value per config key that no domain type checks.
+CONFIG_ONLY = {
+    "bias_v": "-1", "kappa_ghz": "-1", "active_volume_um3": "0",
+    "energy_field_v_per_um": "-1", "fit_field_limit_v_per_um": "0", "screening": "1.5",
+    "v_start": "-1", "v_step": "0", "detuning_points": "1",
+}
+
+
+def test_config_only_keys_are_the_keys_that_declare_a_domain():
+    assert {key for key, spec in _KEYS.items() if len(spec) == 3} == set(CONFIG_ONLY)
+
+
+@pytest.mark.parametrize("key, text", sorted(CONFIG_ONLY.items()))
+def test_config_only_key_names_its_file_and_line(tmp_path, key, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {text}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}:1: {key} must be ")
+    assert message.endswith(f", got {_KEYS[key][0](text)} (config key {key})")
+
+
+def test_config_only_message_in_full(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# rails\nbias_v = -1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad.cfg:2: bias_v must be >= 0, got -1.0 "
+                                          r"\(config key bias_v\)$"):
+        parse_config(path)
+
+
+# -- check_value over every kind ----------------------------------------------------
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_BOUND = st.floats(-1e6, 1e6)
+_INTERVAL = st.tuples(_BOUND, _BOUND).filter(lambda b: b[0] < b[1])
+
+
+# The reference for values already known to be finite.
+INSIDE = {
+    "finite": lambda v, b: True,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "()": lambda v, b: b[0] < v < b[1],
+    "[]": lambda v, b: b[0] <= v <= b[1],
+}
+
+FLOAT_DOMAINS = st.one_of(
+    st.tuples(st.just("finite"), st.none()),
+    st.tuples(st.sampled_from([">", ">="]), _BOUND),
+    st.tuples(st.sampled_from(["()", "[]"]), _INTERVAL),
+)
+
+
+@given(FLOAT_DOMAINS, _FINITE)
+def test_check_value_accepts_inside_and_rejects_outside_with_field(domain, value):
+    kind, bound = domain
+    if INSIDE[kind](value, bound):
+        assert check_value("x", value, kind, bound, field="f") == value
+    else:
+        with pytest.raises(DomainError,
+                           match=f"^x must be .*, got {re.escape(str(value))}$") as info:
+            check_value("x", value, kind, bound, field="f")
+        assert info.value.field == "f"
+        assert "finite" not in str(info.value)
+
+
+@given(FLOAT_DOMAINS, _NON_FINITE)
+def test_check_value_reports_a_non_finite_value_before_the_bound(domain, value):
+    kind, bound = domain
+    with pytest.raises(DomainError, match=f"^x must be finite, got {value}$") as info:
+        check_value("x", value, kind, bound, field="f")
+    assert info.value.field == "f"
+
+
+@given(st.integers(-10, 10), st.one_of(st.integers(-100, 100), _FINITE, _NON_FINITE))
+def test_check_value_integer_kind(bound, value):
+    if math.isfinite(value) and value % 1 == 0 and value >= bound:
+        assert check_value("n", value, "int>=", bound, field="f") == value
+    else:
+        with pytest.raises(DomainError,
+                           match=f"^n must be an integer >= {bound}, "
+                                 f"got {re.escape(str(value))}$") as info:
+            check_value("n", value, "int>=", bound, field="f")
+        assert info.value.field == "f"
