@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: spectrum | stark | switch | fit | metrics.  Each run reads
-a preset and/or config file, writes plot-ready CSV files plus a
-reproducibility manifest into --out, prints a short summary to stdout,
-and exits 0.  Failures exit nonzero (1 config, 2 numeric, 3 I/O) with a
-one-line JSON error record on stderr.
+a preset and/or config file and writes plot-ready CSV files into --out.
+A command only computes and writes its CSVs; main ends every run.  On
+success it writes the reproducibility manifest, which lists every CSV
+the run wrote, then prints a short summary to stdout and exits 0.
+Failures exit nonzero (1 config, 2 numeric, 3 I/O) with a one-line JSON
+error record on stderr and print nothing to stdout.
 
 A layer only some commands run (fitting, switching) is imported inside
 those commands, so each command loads only the modules it uses.
@@ -60,37 +62,19 @@ def _preset_path(name: str) -> Path:
     return path
 
 
-def _load(args: argparse.Namespace) -> RunConfig:
-    paths = []
-    if args.preset:
-        paths.append(_preset_path(args.preset))
-    if args.config:
-        paths.append(Path(args.config))
-    cfg = parse_config(*paths)
-    if args.seed is not None:
-        cfg.values["seed"] = args.seed
-    return cfg
-
-
-def _finish(cfg: RunConfig, args, command: str, outputs: list[Path],
-            extra: dict | None = None) -> None:
+def _load(args: argparse.Namespace) -> tuple[RunConfig, dict[str, Path]]:
+    """The parsed config, and the run's input files keyed by their manifest name."""
     inputs = {}
     if args.preset:
         inputs["preset"] = _preset_path(args.preset)
     if args.config:
         inputs["config"] = Path(args.config)
+    cfg = parse_config(*inputs.values())
     if getattr(args, "data", None):
         inputs["data"] = Path(args.data)
-    write_manifest(
-        Path(args.out),
-        command=command,
-        version=__version__,
-        seed=cfg["seed"],
-        inputs=inputs,
-        outputs=outputs,
-        config_values=cfg.values,
-        extra=extra,
-    )
+    if args.seed is not None:
+        cfg.values["seed"] = args.seed
+    return cfg, inputs
 
 
 def _calibrated_cqed(cfg: RunConfig):
@@ -133,9 +117,12 @@ def _require_finite(kind: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its CSVs and returns them with the manifest's
+# extra lines and the stdout summary lines, which main records and prints.
+_Written = tuple[list[Path], dict[str, object], list[str]]
 
-def _cmd_stark(cfg: RunConfig, args) -> int:
+
+def _cmd_stark(cfg: RunConfig, args) -> _Written:
     elec = cfg.electrostatic_params()
     coeffs = cfg.stark_coefficients()
     sign = cfg["field_sign"]
@@ -151,14 +138,12 @@ def _cmd_stark(cfg: RunConfig, args) -> int:
     }
     _require_finite("column", columns.items())
     out = write_csv(Path(args.out) / "stark.csv", list(columns), zip(*columns.values()))
-    _finish(cfg, args, "stark", [out],
-            {"summary.onset_voltage_V": onset_voltage(elec)})
-    print(f"onset_voltage_V = {onset_voltage(elec)!r}")
-    print(f"rows = {volts.size}")
-    return EXIT_OK
+    onset = onset_voltage(elec)
+    return [out], {"summary.onset_voltage_V": onset}, [
+        f"onset_voltage_V = {onset!r}", f"rows = {volts.size}"]
 
 
-def _cmd_spectrum(cfg: RunConfig, args) -> int:
+def _cmd_spectrum(cfg: RunConfig, args) -> _Written:
     cqed = cfg.cqed_params()
     bias = cfg["bias_v"]
     if bias > 0.0:
@@ -176,12 +161,10 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
     out = write_csv(Path(args.out) / "spectrum.csv",
                     ["detuning_GHz", "reflectivity", "pl"],
                     columns=[grid / TWO_PI, refl.intensities, pl.intensities])
-    _finish(cfg, args, "spectrum", [out], {"summary.bias_V": bias})
-    print(f"points = {len(refl)}")
-    return EXIT_OK
+    return [out], {"summary.bias_V": bias}, [f"points = {len(refl)}"]
 
 
-def _cmd_switch(cfg: RunConfig, args) -> int:
+def _cmd_switch(cfg: RunConfig, args) -> _Written:
     from .switching import on_off_ratio, simulate_switching
 
     cqed, screening, calibration = _calibrated_cqed(cfg)
@@ -210,12 +193,11 @@ def _cmd_switch(cfg: RunConfig, args) -> int:
     if calibration is not None:
         extra["summary.calibration_residual"] = calibration.residual_norm
         extra["summary.calibration_converged"] = calibration.converged
-    _finish(cfg, args, "switch", [trace_path, summary_path], extra)
-    print(f"on_off_ratio = {ratio!r} at {drive.frequency_mhz!r} MHz")
-    return EXIT_OK
+    return [trace_path, summary_path], extra, [
+        f"on_off_ratio = {ratio!r} at {drive.frequency_mhz!r} MHz"]
 
 
-def _cmd_metrics(cfg: RunConfig, args) -> int:
+def _cmd_metrics(cfg: RunConfig, args) -> _Written:
     # Figures of merit describe the configured operating point; the
     # contrast calibration only feeds the switching path.
     from .switching import EnergyBudget, switching_energy
@@ -239,13 +221,10 @@ def _cmd_metrics(cfg: RunConfig, args) -> int:
     ]
     _require_finite("metric", rows)
     out = write_csv(Path(args.out) / "metrics.csv", ["metric", "value", "unit"], rows)
-    _finish(cfg, args, "metrics", [out])
-    for name, value, _ in rows:
-        print(f"{name} = {value}")
-    return EXIT_OK
+    return [out], {}, [f"{name} = {value}" for name, value, _ in rows]
 
 
-def _cmd_fit(cfg: RunConfig, args) -> int:
+def _cmd_fit(cfg: RunConfig, args) -> _Written:
     from .fitting import fit_contrast, fit_spectrum, fit_stark_curve
 
     if args.kind in ("stark", "spectrum") and not args.data:
@@ -276,13 +255,11 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
     _require_finite("parameter", rows)
     out = write_csv(Path(args.out) / "fit_report.csv",
                     ["parameter", "value", "unit"], rows)
-    _finish(cfg, args, f"fit:{args.kind}", [out],
-            {"summary.residual_norm": result.residual_norm,
-             "summary.converged": result.converged})
-    print(f"converged = {result.converged} residual_norm = {result.residual_norm!r}")
-    for name, value in sorted(result.parameters.items()):
-        print(f"{name} = {value!r}")
-    return EXIT_OK
+    extra = {"summary.residual_norm": result.residual_norm,
+             "summary.converged": result.converged}
+    summary = [f"converged = {result.converged} residual_norm = {result.residual_norm!r}"]
+    summary += [f"{name} = {value!r}" for name, value in sorted(result.parameters.items())]
+    return [out], extra, summary
 
 
 _COMMANDS = {
@@ -326,8 +303,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        cfg = _load(args)
-        return _COMMANDS[args.command](cfg, args)
+        cfg, inputs = _load(args)
+        outputs, extra, summary = _COMMANDS[args.command](cfg, args)
+        command = f"fit:{args.kind}" if args.command == "fit" else args.command
+        write_manifest(out_dir, command=command, version=__version__, seed=cfg["seed"],
+                       inputs=inputs, outputs=outputs, config_values=cfg.values,
+                       extra=extra)
+        print("\n".join(summary))
+        return EXIT_OK
     except QdSwitchError as exc:
         return _fail(exc)
     except OSError as exc:

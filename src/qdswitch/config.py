@@ -120,7 +120,6 @@ class RunConfig:
     """Resolved configuration: defaults overlaid with file assignments."""
 
     values: dict[str, Any] = field(default_factory=dict)
-    sources: tuple[Path, ...] = ()
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
@@ -259,14 +258,12 @@ def parse_config(*paths: Path | str) -> RunConfig:
     """Load one or more config files over the defaults, later files
     overriding earlier ones, and validate the result."""
     values = {key: spec[1] for key, spec in _KEYS.items()}
-    resolved = []
     for path in paths:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         values.update(parse_assignments(p.read_text(encoding="utf-8"), str(p)))
-        resolved.append(p)
-    cfg = RunConfig(values=values, sources=tuple(resolved))
+    cfg = RunConfig(values=values)
     _validate(cfg)
     return cfg
 

@@ -110,11 +110,10 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class ShiftDataset:
-    """Measured (reverse bias, shift) samples with optional weights."""
+    """Measured (reverse bias, shift) samples."""
 
     voltages: np.ndarray
     shifts_mev: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.voltages, dtype=float)
@@ -125,14 +124,8 @@ class ShiftDataset:
             raise DomainError("shift dataset voltages and shifts must be finite")
         if np.unique(v).size != v.size:
             raise DomainError("shift dataset voltages must be distinct")
-        w = self.weights
-        if w is not None:
-            w = np.asarray(w, dtype=float)
-            if w.shape != v.shape or not np.all(np.isfinite(w) & (w > 0.0)):
-                raise DomainError("weights must be finite, positive and match the data")
         object.__setattr__(self, "voltages", v)
         object.__setattr__(self, "shifts_mev", s)
-        object.__setattr__(self, "weights", w)
 
 
 def _result(values):

@@ -173,10 +173,6 @@ def fit_stark_curve(
             f"need >= 3 points above the depletion onset, found {nonzero}")
     design = np.column_stack([fields, -fields ** 2])
     y = data.shifts_mev
-    if data.weights is not None:
-        w = np.sqrt(data.weights)
-        design = design * w[:, None]
-        y = y * w
     jtj = design.T @ design
     det = jtj[0, 0] * jtj[1, 1] - jtj[0, 1] * jtj[1, 0]
     scale = jtj[0, 0] * jtj[1, 1]

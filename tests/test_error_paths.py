@@ -1,0 +1,156 @@
+"""Error paths: each bad input fails with its own exit code and message.
+
+A CLI run ends in one of two ways.  On exit 0 the manifest lists every
+CSV the run wrote and the summary is printed after it.  On any other
+exit there is one JSON record on stderr, nothing on stdout and no
+manifest.
+"""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from qdswitch import (
+    CqedParams,
+    DegenerateFitError,
+    DomainError,
+    IngestError,
+    ShiftDataset,
+    Spectrum,
+    TimeTrace,
+)
+from qdswitch.cli import main
+from qdswitch.csvio import ingest_shift_csv, ingest_spectrum_csv
+from qdswitch.fitting import fit_spectrum, fit_stark_curve, stark_model
+from qdswitch.manifest import MANIFEST_NAME, read_manifest
+
+TWO_PI = 2.0 * math.pi
+
+SPECTRUM_TEXT = "detuning_GHz,intensity\n-1,0.5\n0,0.1\n1,0.5\n"
+
+# case -> (command line after "qdswitch", with {tmp} for the work directory;
+#          {file name: text} written there first; exit code; error class;
+#          message, with {tmp} too)
+CLI_FAILURES = {
+    "spectrum fit without data": (
+        ["fit", "--kind", "spectrum"], {},
+        1, "ConfigError", "fit --kind spectrum requires --data"),
+    "contrast fit without targets": (
+        ["fit", "--kind", "contrast", "--config", "{tmp}/c.cfg"],
+        {"c.cfg": "contrast_targets =\n"},
+        1, "ConfigError", "fit --kind contrast requires contrast_targets in the config"),
+    "config line without '='": (
+        ["metrics", "--config", "{tmp}/c.cfg"], {"c.cfg": "seed = 1\ng_ghz 20\n"},
+        1, "ConfigError", "{tmp}/c.cfg:2: expected 'key = value', got 'g_ghz 20'"),
+    "negative intensity": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
+        {"d.csv": "detuning_GHz,intensity\n0,1\n1,-1\n"},
+        3, "IngestError", "{tmp}/d.csv:3: negative intensity"),
+    "repeated voltage": (
+        ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
+        {"d.csv": "voltage_V,shift_meV\n0,0\n1,0.1\n1,0.2\n"},
+        3, "IngestError", "{tmp}/d.csv: shift dataset voltages must be distinct"),
+    "zero coupling on a log scale": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv", "--config", "{tmp}/c.cfg"],
+        {"d.csv": SPECTRUM_TEXT, "c.cfg": "g_ghz = 0\n"},
+        2, "DomainError", "coupling must be > 0 to fit on a log scale"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_FAILURES))
+def test_cli_failure_prints_one_record_and_nothing_else(tmp_path, capsys, case):
+    command, files, code, error_class, message = CLI_FAILURES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    argv = [part.format(tmp=tmp_path) for part in command]
+    assert main(argv + ["--preset", "paper", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error_code": code, "error_class": error_class,
+                                        "message": message.format(tmp=tmp_path)}
+    assert not (out / MANIFEST_NAME).exists()
+
+
+SUCCESSFUL_RUNS = [["stark"], ["spectrum"], ["switch"], ["metrics"],
+                   ["fit", "--kind", "contrast"]]
+
+
+@pytest.mark.parametrize("command", SUCCESSFUL_RUNS, ids=" ".join)
+def test_cli_success_lists_every_csv_then_prints(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main(command + ["--preset", "paper", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip()
+    manifest = read_manifest(out / MANIFEST_NAME)
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert manifest[f"output.{path.name}.sha256"] == \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", SUCCESSFUL_RUNS, ids=" ".join)
+def test_cli_failed_manifest_write_prints_no_summary(tmp_path, capsys, monkeypatch,
+                                                     command):
+    def refuse(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("qdswitch.cli.write_manifest", refuse)
+    assert main(command + ["--preset", "paper", "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error_class"] == "OSError"
+
+
+def test_stark_fit_on_nearly_equal_fields_is_degenerate(device_elec, device_stark):
+    # Zero bias carries no field; the other three fields differ by ~1e-10,
+    # so the design has no curvature to resolve.
+    volts = np.array([0.0, 10.0, 10.0 + 1e-9, 10.0 + 2e-9])
+    data = ShiftDataset(volts, stark_model(device_elec, device_stark, volts))
+    with pytest.raises(DegenerateFitError, match="rank-deficient"):
+        fit_stark_curve(data, device_elec)
+
+
+CQED = CqedParams(0.0, 0.0, TWO_PI * 20.0, TWO_PI * 40.0, TWO_PI * 0.1)
+GRID = np.array([-1.0, 0.0, 1.0])
+
+# case -> (call, message)
+LIBRARY_FAILURES = {
+    "no free parameters": (
+        lambda: fit_spectrum(Spectrum(GRID, np.ones(3)), CQED, []),
+        "^free parameter set must not be empty$"),
+    "decreasing times": (
+        lambda: TimeTrace(np.array([0.0, 2.0, 1.0]), np.ones(3)),
+        "^times must be strictly increasing$"),
+    "trace shapes differ": (
+        lambda: TimeTrace(GRID, np.ones(2)),
+        "^trace needs matching 1-D arrays"),
+    "negative intensity": (
+        lambda: Spectrum(GRID, np.array([1.0, -1.0, 1.0])),
+        "^intensities must be non-negative$"),
+    "spectrum lengths differ": (
+        lambda: Spectrum(GRID, np.ones(2)),
+        "^intensities must match the detuning grid length$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_FAILURES))
+def test_library_rejects_bad_input(case):
+    call, message = LIBRARY_FAILURES[case]
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("ingest, text, message", [
+    (ingest_spectrum_csv, "detuning_GHz,intensity,pl\n1,2,3\n",
+     "d.csv: expected 2 columns, header has 3$"),
+    (ingest_shift_csv, "voltage_V,shift_meV\n\n", "d.csv: no data rows$"),
+], ids=["wrong-width header", "no data rows"])
+def test_ingest_rejects_a_malformed_file(tmp_path, ingest, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IngestError, match=message):
+        ingest(path)

@@ -1,8 +1,9 @@
 """End-to-end output bytes are pinned.
 
 Every command runs through cli.main on --preset paper, plus one long
-switching trace; the SHA-256 of each CSV, and of each manifest with its
-timestamp and path lines dropped, must match the table below.  The fit
+switching trace and one uncalibrated switch; the SHA-256 of each CSV, of
+each manifest with its timestamp and path lines dropped, and of each
+run's stdout must match the table below.  The fit
 inputs are written here from fixed seeds with repr, so they do not
 depend on the CSV writer under test.
 
@@ -14,6 +15,7 @@ report, never a reason to loosen this check.
 """
 
 import hashlib
+import io
 import math
 import sys
 from contextlib import redirect_stdout
@@ -32,48 +34,75 @@ TWO_PI = 2.0 * math.pi
 # The numpy release the table was generated with.
 NUMPY_VERSION = "2.4.6"
 
-# (run, file) -> SHA-256; manifest.txt is hashed without its variable lines.
+# (run, file) -> SHA-256; manifest.txt is hashed without its variable lines,
+# and "stdout" is the run's printed summary.
 GOLDEN = {
     ("fit_contrast", "fit_report.csv"):
         "47c13f6fa9a250805f318165e26336c65428baacc4ed866ac2ec2d856358a898",
     ("fit_contrast", "manifest.txt"):
         "c4738c205dd3782882325cc3e84b0e4b070673deb08b8bb45bfea7f5e2ebb1d6",
+    ("fit_contrast", "stdout"):
+        "332ac9ed614487cf05c1381147fb4e34e59443613d1e84aeb957a07ced25a727",
     ("fit_spectrum", "fit_report.csv"):
         "58353c6db811e64f8f4c422af00805988f9d4b9ce284159813c8d4fa011ae729",
     ("fit_spectrum", "manifest.txt"):
         "521663504f40231983680a4e792d4457bbd7d54f35b7fbf9f2a0b551c518389f",
+    ("fit_spectrum", "stdout"):
+        "bc6ffb0ad124a082b7830b79541a9f3abebd405bc4755f4a9b5401e671a0b1de",
     ("fit_stark", "fit_report.csv"):
         "cfcc0918d0a410365c3a08370d9f4661cbde6ede1b2c1140bc188dd65452a3c6",
     ("fit_stark", "manifest.txt"):
         "2013028f8bfb5d20f7b2e300f3cd0e38ee9e7e76ec13cedcfeb484452e571264",
+    ("fit_stark", "stdout"):
+        "a1821c5902ef81182fdd99759ca28267a24008298eedab6fa0a5baf76aefd19f",
     ("metrics", "manifest.txt"):
         "eb90d4f297d5ba06fb9e78dc72f95b2c3ff4bdf00335117f57e287d6d44e3772",
     ("metrics", "metrics.csv"):
         "2c14a1ff8f22437143b8b962af408db6a644883bdb5b3389072d505d6d1dd1a0",
+    ("metrics", "stdout"):
+        "8dccdd630549b8848bfec660b1ec025ca52ebb9af8f6267e5a52f3df370882b8",
     ("spectrum", "manifest.txt"):
         "c5cd3f0523ff11502ddd8f75ae3651ed05432a1b6d18d692e67dbd4f89458631",
     ("spectrum", "spectrum.csv"):
         "1bf71164cbb1d1d926a886f6358ffc6b7dfd112065fbc2d771bb907258746c77",
+    ("spectrum", "stdout"):
+        "0779b30ecae031f102d0b3f420cabce75486fea9f47a58b22a5bc91af883e472",
     ("spectrum_bias", "manifest.txt"):
         "852339c9f92393b350aa8edf19eeea26caa935e047f55907caf3f5b86448d6ae",
     ("spectrum_bias", "spectrum.csv"):
         "70d406304c6b2fc355a417386aba354e8ce50fc3046790e3e8da32451b40ffc6",
+    ("spectrum_bias", "stdout"):
+        "0779b30ecae031f102d0b3f420cabce75486fea9f47a58b22a5bc91af883e472",
     ("stark", "manifest.txt"):
         "bc163a70916713c4754aee5331df3bbea8f86dfed573341f628244839c042432",
     ("stark", "stark.csv"):
         "a7a97ae30ea5e3ee0f242397a471ef9ccccdd43d471248d41dfe817c73e3235e",
+    ("stark", "stdout"):
+        "d1c68ed7dda5ebad98677b918e0fcf8fc35f9b5cfef7c03058bdd959232e0227",
     ("switch", "manifest.txt"):
         "9bbf0ef90e1a01d0d214c05df7533fe7733a8f0b8c4989e544dbf0dc7733e1ea",
+    ("switch", "stdout"):
+        "2ef97b8c887e91e7725991efb62045dde5fcc07b73052938ff4afdc059efbfa1",
     ("switch", "switch_summary.csv"):
         "9cf971efa3ed414b17b20e8e4b34e8a2fe478583c9c2b699549bdc042051f319",
     ("switch", "switch_trace.csv"):
         "ce312df60c973001e91d125c64fab65e0367fbb539cab012385c77594a959f9f",
     ("switch_long", "manifest.txt"):
         "0d92133baa0fd62d8447c103c365a712fd967d33c06b92e66e0ee9585e18858a",
+    ("switch_long", "stdout"):
+        "ca1c358dc785f22185adbbc94e28b5e47b0f3e5008d042b0a00b7e6fa4b443bc",
     ("switch_long", "switch_summary.csv"):
         "4894d39359e34673d8c6b6d27dd84a088a0239156d12684b4427d23b81f3505c",
     ("switch_long", "switch_trace.csv"):
         "716456759bb8d5e26a567a8711c48e13cf707fa182064a7f39b91b506c46430d",
+    ("switch_uncalibrated", "manifest.txt"):
+        "135c6c2ee4905a80b737aa2de74af0d692ada36ad425f5bd93ed8792e41273e8",
+    ("switch_uncalibrated", "stdout"):
+        "d6cbefdf0bc70e94fe859f9ea147af5567688942d56d6195583689dc13ff9fba",
+    ("switch_uncalibrated", "switch_summary.csv"):
+        "b9fbaa751fda9ddf118ee34d924f3d98bf6b69f953f996ca9602796bd22a37ce",
+    ("switch_uncalibrated", "switch_trace.csv"):
+        "9133159ba9d09bd8bfc121984598dae5dd17bd14239b00737cdff84da3774ff3",
 }
 
 # run -> (command line after "qdswitch", config overlay text or None)
@@ -85,6 +114,8 @@ RUNS = {
                                     "g_anchor_ghz = 20, 17, 12\n"),
     "switch": (["switch"], None),
     "switch_long": (["switch"], "drive_mhz = 10\ncycles = 6\nsamples_per_cycle = 4096\n"),
+    # No contrast targets: the configured dot_decay and screening, no calibration.
+    "switch_uncalibrated": (["switch"], "contrast_targets =\n"),
     "metrics": (["metrics"], None),
     "fit_stark": (["fit", "--kind", "stark", "--data", "shifts.csv"], None),
     "fit_spectrum": (["fit", "--kind", "spectrum", "--data", "spectrum_data.csv"],
@@ -137,9 +168,12 @@ def run_all(work: Path) -> dict[tuple[str, str], str]:
             cfg = work / f"{name}.cfg"
             cfg.write_text(overlay, encoding="utf-8")
             argv += ["--config", str(cfg)]
-        code = main(argv)
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            code = main(argv)
         if code != 0:
             raise RuntimeError(f"{name} exited {code}")
+        digests[name, "stdout"] = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
         for path in sorted(out.iterdir()):
             digests[name, path.name] = (manifest_digest(path) if path.name == "manifest.txt"
                                         else hashlib.sha256(path.read_bytes()).hexdigest())
