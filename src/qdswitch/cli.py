@@ -229,6 +229,8 @@ def _cmd_fit(cfg: RunConfig, args) -> _Written:
 
     if args.kind in ("stark", "spectrum") and not args.data:
         raise ConfigError(f"fit --kind {args.kind} requires --data")
+    if args.kind == "contrast" and args.data:
+        raise ConfigError("fit --kind contrast takes no --data; it fits contrast_targets")
     if args.kind == "stark":
         data = ingest_shift_csv(args.data)
         result = fit_stark_curve(data, cfg.electrostatic_params(),

@@ -11,6 +11,7 @@ internally.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -60,6 +61,11 @@ def _parse_targets(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+# Largest ordinary-GHz magnitude of a grid end, probe detuning or coupling
+# anchor: both angular ends (x 2 pi) and the span between them stay finite.
+_ANGULAR_LIMIT = sys.float_info.max / (2.0 * TWO_PI)
+_ANGULAR_RANGE = ("[]", (-_ANGULAR_LIMIT, _ANGULAR_LIMIT))
+
 # key -> (parser, default[, (kind, bound) of a key no domain type checks])
 _KEYS: dict[str, tuple] = {
     # electrostatics
@@ -94,15 +100,15 @@ _KEYS: dict[str, tuple] = {
     "rc_cutoff_mhz": (_parse_float, 100.0),
     "cycles": (_parse_int, 9),
     "samples_per_cycle": (_parse_int, 256),
-    "probe_detuning_ghz": (_parse_float, 0.0),
+    "probe_detuning_ghz": (_parse_float, 0.0, _ANGULAR_RANGE),
     # contrast calibration targets
     "contrast_targets": (_parse_targets, ()),
     # sweep grids
     "v_start": (_parse_float, 0.0, (">=", 0.0)),
     "v_stop": (_parse_float, 10.0),
     "v_step": (_parse_float, 0.1, (">", 0.0)),
-    "detuning_start_ghz": (_parse_float, -150.0),
-    "detuning_stop_ghz": (_parse_float, 150.0),
+    "detuning_start_ghz": (_parse_float, -150.0, _ANGULAR_RANGE),
+    "detuning_stop_ghz": (_parse_float, 150.0, _ANGULAR_RANGE),
     "detuning_points": (_parse_int, 601, ("int>=", 2)),
     "bias_v": (_parse_float, 0.0, (">=", 0.0)),
     # figures of merit
@@ -126,26 +132,29 @@ class RunConfig:
 
     # -- domain object builders -------------------------------------------
 
+    def _build(self, cls, **keys):
+        """Construct a validated domain object; each field names its config
+        key, or gives (key, value) for a value computed from the file.  A
+        DomainError is re-raised naming the key of its field."""
+        pairs = {name: (key, self[key]) if isinstance(key, str) else key
+                 for name, key in keys.items()}
+        try:
+            return cls(**{name: value for name, (_, value) in pairs.items()})
+        except DomainError as exc:
+            raise ConfigError(f"{exc} (config key {pairs[exc.field][0]})") from exc
+
     def electrostatic_params(self) -> ElectrostaticParams:
-        return _build(ElectrostaticParams, {
-            "donor_density_cm3": ("nd_cm3", self["nd_cm3"]),
-            "barrier_potential_v": ("phi_v", self["phi_v"]),
-            "relative_permittivity": ("eps_r", self["eps_r"]),
-            "electrode_distance_um": ("dx_um", self["dx_um"]),
-        })
+        return self._build(ElectrostaticParams, donor_density_cm3="nd_cm3",
+                           barrier_potential_v="phi_v", relative_permittivity="eps_r",
+                           electrode_distance_um="dx_um")
 
     def stark_coefficients(self) -> StarkCoefficients:
-        return _build(StarkCoefficients, {
-            "dipole_mev_um_per_v": ("dipole_mev_um_per_v", self["dipole_mev_um_per_v"]),
-            "polarizability_mev_um2_per_v2": (
-                "polarizability_mev_um2_per_v2", self["polarizability_mev_um2_per_v2"]),
-        })
+        return self._build(StarkCoefficients, dipole_mev_um_per_v="dipole_mev_um_per_v",
+                           polarizability_mev_um2_per_v2="polarizability_mev_um2_per_v2")
 
     def optical_frame(self) -> OpticalFrame:
-        return _build(OpticalFrame, {
-            "reference_wavelength_nm": ("lambda0_nm", self["lambda0_nm"]),
-            "quality_factor": ("q_factor", self["q_factor"]),
-        })
+        return self._build(OpticalFrame, reference_wavelength_nm="lambda0_nm",
+                           quality_factor="q_factor")
 
     def cavity_decay(self) -> float:
         """Angular kappa: explicit kappa_ghz wins over the Q-derived value."""
@@ -154,27 +163,19 @@ class RunConfig:
         return kappa_from_q(self.optical_frame())
 
     def cqed_params(self) -> CqedParams:
-        return _build(CqedParams, {
-            "cavity_freq": ("cavity_offset_ghz", TWO_PI * self["cavity_offset_ghz"]),
-            "dot_freq": ("dot_offset_ghz", TWO_PI * self["dot_offset_ghz"]),
-            "coupling": ("g_ghz", TWO_PI * self["g_ghz"]),
-            "cavity_decay": ("kappa_ghz" if self["kappa_ghz"] > 0.0 else "q_factor",
-                             self.cavity_decay()),
-            "dot_decay": ("gamma_ghz", TWO_PI * self["gamma_ghz"]),
-            "amplitude": ("amplitude", self["amplitude"]),
-            "background": ("background", self["background"]),
-        })
+        angular = {"cavity_freq": "cavity_offset_ghz", "dot_freq": "dot_offset_ghz",
+                   "coupling": "g_ghz", "dot_decay": "gamma_ghz"}
+        return self._build(
+            CqedParams, **{name: (key, TWO_PI * self[key]) for name, key in angular.items()},
+            cavity_decay=("kappa_ghz" if self["kappa_ghz"] > 0.0 else "q_factor",
+                          self.cavity_decay()),
+            amplitude="amplitude", background="background")
 
     def drive_spec(self) -> DriveSpec:
-        return _build(DriveSpec, {
-            "v_low": ("v_low_v", self["v_low_v"]),
-            "v_high": ("v_high_v", self["v_high_v"]),
-            "frequency_mhz": ("drive_mhz", self["drive_mhz"]),
-            "duty": ("duty", self["duty"]),
-            "rc_cutoff_mhz": ("rc_cutoff_mhz", self["rc_cutoff_mhz"]),
-            "cycles": ("cycles", self["cycles"]),
-            "samples_per_cycle": ("samples_per_cycle", self["samples_per_cycle"]),
-        })
+        return self._build(DriveSpec, v_low="v_low_v", v_high="v_high_v",
+                           frequency_mhz="drive_mhz", duty="duty",
+                           rc_cutoff_mhz="rc_cutoff_mhz", cycles="cycles",
+                           samples_per_cycle="samples_per_cycle")
 
     def g_anchors(self) -> tuple[tuple[float, float], ...] | None:
         """Optional (V, angular g) anchors; None when not configured."""
@@ -185,9 +186,11 @@ class RunConfig:
         if any(b <= a for a, b in zip(volts, volts[1:])):
             raise ConfigError(f"g_anchor_v must be strictly increasing, got {volts} "
                               "(config key g_anchor_v)")
-        if len(gs) != len(volts) or len(gs) < 2 or min(gs) < 0.0:
-            raise ConfigError(f"g_anchor_ghz must give one coupling >= 0 per g_anchor_v "
-                              f"voltage, at least two, got {gs} (config key g_anchor_ghz)")
+        if (len(gs) != len(volts) or len(gs) < 2
+                or not 0.0 <= min(gs) <= max(gs) <= _ANGULAR_LIMIT):
+            raise ConfigError(f"g_anchor_ghz must give one coupling in [0, {_ANGULAR_LIMIT:g}] "
+                              f"per g_anchor_v voltage, at least two, got {gs} "
+                              "(config key g_anchor_ghz)")
         return tuple((v, TWO_PI * g) for v, g in zip(volts, gs))
 
     def voltage_grid(self) -> np.ndarray:
@@ -217,15 +220,6 @@ class RunConfig:
             raise ConfigError(f"fit_free must list some of {', '.join(known)}, "
                               f"got '{self['fit_free']}' (config key fit_free)")
         return names
-
-
-def _build(cls, mapping: dict[str, tuple[str, Any]]):
-    """Construct a validated domain object from field -> (config key,
-    value); a DomainError is re-raised naming the key of its field."""
-    try:
-        return cls(**{name: value for name, (_, value) in mapping.items()})
-    except DomainError as exc:
-        raise ConfigError(f"{exc} (config key {mapping[exc.field][0]})") from exc
 
 
 def parse_assignments(text: str, origin: str) -> dict[str, Any]:

@@ -149,6 +149,19 @@ def _covariance_diag(jtj: np.ndarray, residual_norm: float, n_points: int) -> np
     return diag
 
 
+def _fit_result(parameters: dict[str, float], units: dict[str, str], scales: dict[str, float],
+                residual_norm: float, converged: bool, iterations: int, jtj: np.ndarray,
+                n_points: int) -> FitResult:
+    """The FitResult of every fit.  scales maps each free parameter, in
+    jtj's column order, to dp/dx at the solution, where x is the solver's
+    coordinate: a variance in natural units is the solver-coordinate
+    variance times (dp/dx)^2."""
+    cov = _covariance_diag(jtj, residual_norm, n_points)
+    variances = None if cov is None else {
+        name: float(c * s ** 2) for (name, s), c in zip(scales.items(), cov)}
+    return FitResult(parameters, units, residual_norm, converged, iterations, variances)
+
+
 # ---------------------------------------------------------------------------
 # Stark curve
 
@@ -182,21 +195,11 @@ def fit_stark_curve(
     dipole = (jtj[1, 1] * rhs[0] - jtj[0, 1] * rhs[1]) / det
     polar = (-jtj[1, 0] * rhs[0] + jtj[0, 0] * rhs[1]) / det
     resid = y - design @ np.array([dipole, polar])
-    residual_norm = float(np.linalg.norm(resid))
-    cov = _covariance_diag(jtj, residual_norm, y.size)
-    return FitResult(
-        parameters={"dipole_mev_um_per_v": float(dipole),
-                    "polarizability_mev_um2_per_v2": float(polar)},
-        units={"dipole_mev_um_per_v": "meV um/V",
-               "polarizability_mev_um2_per_v2": "meV um^2/V^2"},
-        residual_norm=residual_norm,
-        converged=True,
-        iterations=1,
-        covariance_diag=None if cov is None else {
-            "dipole_mev_um_per_v": float(cov[0]),
-            "polarizability_mev_um2_per_v2": float(cov[1]),
-        },
-    )
+    names = ("dipole_mev_um_per_v", "polarizability_mev_um2_per_v2")
+    return _fit_result(dict(zip(names, (float(dipole), float(polar)))),
+                       dict(zip(names, ("meV um/V", "meV um^2/V^2"))),
+                       dict.fromkeys(names, 1.0), float(np.linalg.norm(resid)),
+                       True, 1, jtj, y.size)
 
 
 def stark_model(
@@ -305,24 +308,12 @@ def fit_spectrum(
     if not names:
         raise DomainError("free parameter set must not be empty")
 
-    x, residual_norm, converged, iterations, jtj = _levenberg_marquardt(
+    x, *solution = _levenberg_marquardt(
         _spectrum_problem(spectrum, initial, names), _pack(initial, names))
     fitted = _unpack(initial, names, x)
-
-    cov = _covariance_diag(jtj, residual_norm, len(spectrum))
-    cov_out = None
-    if cov is not None:
-        scales = _log_scales(fitted, names).tolist()
-        cov_out = {name: float(c * s ** 2) for name, c, s in zip(names, cov, scales)}
-
-    return FitResult(
-        parameters={name: float(getattr(fitted, name)) for name in _CQED_FIELDS},
-        units=dict(_CQED_UNITS),
-        residual_norm=residual_norm,
-        converged=converged,
-        iterations=iterations,
-        covariance_diag=cov_out,
-    )
+    return _fit_result({name: float(getattr(fitted, name)) for name in _CQED_FIELDS},
+                       dict(_CQED_UNITS), dict(zip(names, _log_scales(fitted, names))),
+                       *solution, len(spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -426,23 +417,11 @@ def fit_contrast(
     i, k = np.unravel_index(np.argmin(np.sum(err * err, axis=-1)), err.shape[:2])
     x0 = np.array([math.log(gamma_grid[i]), math.log(s_grid[k] / (1.0 - s_grid[k]))])
 
-    x, residual_norm, converged, iterations, jtj = _levenberg_marquardt(
-        _contrast_problem(cqed, unscreened, ratios), x0)
+    x, *solution = _levenberg_marquardt(_contrast_problem(cqed, unscreened, ratios), x0)
     gamma = math.exp(x[0])
     s = 1.0 / (1.0 + math.exp(-x[1]))
-
-    cov = _covariance_diag(jtj, residual_norm, ratios.size)
-    cov_out = None
-    if cov is not None:
-        # back to natural units: dgamma/dx0 = gamma, ds/dx1 = s(1-s)
-        cov_out = {"dot_decay": float(cov[0] * gamma ** 2),
-                   "screening": float(cov[1] * (s * (1.0 - s)) ** 2)}
-
-    return FitResult(
-        parameters={"dot_decay": gamma, "screening": s},
-        units={"dot_decay": "angular GHz", "screening": "dimensionless"},
-        residual_norm=residual_norm,
-        converged=converged,
-        iterations=iterations,
-        covariance_diag=cov_out,
-    )
+    # dgamma/dx0 = gamma, ds/dx1 = s(1-s)
+    return _fit_result({"dot_decay": gamma, "screening": s},
+                       {"dot_decay": "angular GHz", "screening": "dimensionless"},
+                       {"dot_decay": gamma, "screening": s * (1.0 - s)},
+                       *solution, ratios.size)

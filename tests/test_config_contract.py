@@ -184,7 +184,8 @@ def test_bad_value_table_covers_every_checked_field():
 # Finite config values whose angular form (x 2 pi) overflows to inf.
 @pytest.mark.parametrize("command", ["spectrum", "metrics", "switch"])
 @pytest.mark.parametrize("key", ["g_ghz", "cavity_offset_ghz", "dot_offset_ghz",
-                                 "kappa_ghz", "gamma_ghz"])
+                                 "kappa_ghz", "gamma_ghz", "probe_detuning_ghz",
+                                 "detuning_start_ghz", "detuning_stop_ghz"])
 def test_cli_overflowing_angular_value_exits_1_naming_its_key(tmp_path, capsys, command,
                                                               key):
     out = tmp_path / "o"

@@ -68,6 +68,8 @@ CONFIG_ONLY = {
     "bias_v": "-1", "kappa_ghz": "-1", "active_volume_um3": "0",
     "energy_field_v_per_um": "-1", "fit_field_limit_v_per_um": "0", "screening": "1.5",
     "v_start": "-1", "v_step": "0", "detuning_points": "1",
+    "probe_detuning_ghz": "1e308", "detuning_start_ghz": "-1e308",
+    "detuning_stop_ghz": "1e308",
 }
 
 

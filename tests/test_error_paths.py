@@ -42,6 +42,12 @@ CLI_FAILURES = {
         ["fit", "--kind", "contrast", "--config", "{tmp}/c.cfg"],
         {"c.cfg": "contrast_targets =\n"},
         1, "ConfigError", "fit --kind contrast requires contrast_targets in the config"),
+    "contrast fit with missing data": (
+        ["fit", "--kind", "contrast", "--data", "{tmp}/missing.csv"], {},
+        1, "ConfigError", "fit --kind contrast takes no --data; it fits contrast_targets"),
+    "contrast fit with unread data": (
+        ["fit", "--kind", "contrast", "--data", "{tmp}/d.csv"], {"d.csv": SPECTRUM_TEXT},
+        1, "ConfigError", "fit --kind contrast takes no --data; it fits contrast_targets"),
     "config line without '='": (
         ["metrics", "--config", "{tmp}/c.cfg"], {"c.cfg": "seed = 1\ng_ghz 20\n"},
         1, "ConfigError", "{tmp}/c.cfg:2: expected 'key = value', got 'g_ghz 20'"),
@@ -72,6 +78,7 @@ def test_cli_failure_prints_one_record_and_nothing_else(tmp_path, capsys, case):
     assert captured.out == ""
     assert json.loads(captured.err) == {"error_code": code, "error_class": error_class,
                                         "message": message.format(tmp=tmp_path)}
+    assert not list(out.glob("*.csv"))
     assert not (out / MANIFEST_NAME).exists()
 
 

@@ -44,8 +44,9 @@ GOLDEN_FREE = (
 )
 
 
-def golden_spectrum_case(seed):
-    """(spectrum, start, free) of a seeded noisy 481-point fit."""
+def golden_spectrum_case(seed, free=None):
+    """(spectrum, start, free) of a seeded noisy 481-point fit; free defaults
+    to the seed's GOLDEN_FREE set, and only the free fields start perturbed."""
     rng = np.random.default_rng(seed)
     truth = CqedParams(
         cavity_freq=TWO_PI * rng.uniform(-5.0, 5.0),
@@ -59,7 +60,7 @@ def golden_spectrum_case(seed):
     grid = TWO_PI * np.linspace(-150.0, 150.0, 481)
     clean = reflectivity_spectrum(truth, grid).intensities
     spectrum = Spectrum(grid, np.abs(clean + rng.normal(0.0, 0.005, grid.size)))
-    free = GOLDEN_FREE[seed % 3]
+    free = free or GOLDEN_FREE[seed % 3]
     start = replace(truth, **{
         name: getattr(truth, name) + TWO_PI * rng.uniform(-3.0, 3.0)
         if name.endswith("_freq") else getattr(truth, name) * rng.uniform(0.8, 1.2)
@@ -250,3 +251,36 @@ def test_preset_contrast_fit_reproduces_recorded_bits(device_elec, device_stark,
     assert hexes(result.parameters) == {"dot_decay": "0x1.acd430026b23bp+6",
                                         "screening": "0x1.b64514040986ap-4"}
     assert result.covariance_diag is None   # two targets, two parameters: no dof
+
+
+def test_three_target_contrast_fit_reproduces_recorded_variances(device_elec, device_stark,
+                                                                 device_cqed):
+    # One residual degree of freedom: the variances back-transformed from
+    # (log gamma, logit s) to natural units are defined.
+    result = fit_contrast([(8.0, 1.2), (11.0, 1.6), (14.0, 2.0)], device_elec,
+                          device_stark, device_cqed, field_sign=-1.0)
+    assert result.converged
+    assert result.iterations == 4
+    assert result.residual_norm.hex() == "0x1.723a4c163be42p-7"
+    assert hexes(result.parameters) == {"dot_decay": "0x1.8c4f83aa862b2p+6",
+                                        "screening": "0x1.6ce6a8319bd6fp-4"}
+    assert hexes(result.covariance_diag) == {"dot_decay": "0x1.29479df55b869p+3",
+                                             "screening": "0x1.b5157008b84fep-16"}
+
+
+def test_mixed_scale_spectrum_fit_reproduces_recorded_variances():
+    # cavity_freq and background are fitted as they are, cavity_decay on a
+    # log scale, so both kinds of back-transform meet in one result.
+    free = ("cavity_freq", "background", "cavity_decay")
+    result = fit_spectrum(*golden_spectrum_case(1, free))
+    assert result.converged
+    assert result.iterations == 4
+    assert result.residual_norm.hex() == "0x1.9aa76af87f1f5p-4"
+    assert hexes(result.parameters) == {
+        "cavity_freq": "0x1.bb83185ac57ecp-1", "dot_freq": "0x1.6c8a91cfdd4c3p+8",
+        "coupling": "0x1.9d38edf396446p+6", "cavity_decay": "0x1.34275b150e50ap+8",
+        "dot_decay": "0x1.c3da06a590576p+4", "amplitude": "0x1.f04c1904b1f9fp-1",
+        "background": "0x1.9476e1428ee8dp-5"}
+    assert hexes(result.covariance_diag) == {
+        "cavity_freq": "0x1.46d945cdc6d72p-5", "background": "0x1.5659ad8209f39p-22",
+        "cavity_decay": "0x1.27378fe603993p-2"}

@@ -792,6 +792,7 @@ def test_cli_unknown_preset_is_a_config_error(tmp_path, capsys):
     ("0, 7", "20, -1", "g_anchor_ghz"),
     ("0, 7, 9", "20, 10", "g_anchor_ghz"),
     ("7", "20", "g_anchor_ghz"),
+    ("0, 5", "20, 1e308", "g_anchor_ghz"),
 ])
 def test_cli_rejects_bad_coupling_anchors_at_any_bias(tmp_path, capsys, volts, couplings,
                                                       key):
