@@ -5,8 +5,9 @@ header row.  Floats are written as repr(float(v)), Python's shortest
 round-trip representation, so emit-then-ingest recovers values exactly;
 output is byte-identical across reruns of the same configuration.
 
-Float columns (a 2-D float array, or columns=) are formatted with no
-Python string per value, by floattext's exact-integer kernel: for
+Float columns (a 2-D float array, columns=, or a chunk of rows whose
+every value is a float or np.float64) are formatted with no Python
+string per value, by floattext's exact-integer kernel: for
 1e-4 <= |v| < 2**52 it finds repr's shortest digits for a whole array at
 once, with Ryu's method (Adams, PLDI 2018), scaling each value by a
 power of ten and bounding its rounding interval by 64-bit integers; any
@@ -61,7 +62,9 @@ def write_csv(path: Path | str, header: Sequence[str],
     column-major table (np.array(columns).T), are not copied, so the extra
     memory is a chunk of text plus, per repetitive column, its distinct
     values.  A row of the wrong width, or columns or an array of the wrong
-    shape, raises and leaves no file."""
+    shape, raises and leaves no file.  A chunk of rows whose every value is
+    a float or np.float64 goes through the same float path; any other
+    chunk has each column's formatter picked once from the types it holds."""
     if not header:
         raise DomainError("CSV header must not be empty")
     path = Path(path)
@@ -97,16 +100,15 @@ def _write_rows(f, rows, width: int) -> None:
     while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
         if any(len(row) != width for row in chunk):
             raise DomainError("CSV row width differs from header")
-        cells = [_format_column(column) for column in zip(*chunk)]
-        f.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
-
-
-def _format_column(column: tuple) -> list[str]:
-    """format_value of each value, with the formatter chosen once per column:
-    float.__repr__ gives repr(float(v)) for a float or np.float64 value."""
-    if set(map(type, column)) <= _REPR_TYPES:
-        return list(map(float.__repr__, column))
-    return list(map(format_value, column))
+        columns = list(zip(*chunk))
+        floats = [set(map(type, column)) <= _REPR_TYPES for column in columns]
+        if all(floats):
+            _write_float_columns(f, [np.fromiter(column, np.float64, len(column))
+                                     for column in columns])
+        else:
+            cells = [list(map(float.__repr__ if is_float else format_value, column))
+                     for column, is_float in zip(columns, floats)]
+            f.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
 
 
 def _write_float_columns(f, columns: list[np.ndarray]) -> None:

@@ -122,7 +122,9 @@ class ShiftDataset:
             raise DomainError("shift dataset needs matching 1-D arrays, >= 2 points")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(s))):
             raise DomainError("shift dataset voltages and shifts must be finite")
-        if np.unique(v).size != v.size:
+        # Sorted neighbours, not np.unique, which imports numpy.ma on first use.
+        ordered = np.sort(v)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise DomainError("shift dataset voltages must be distinct")
         object.__setattr__(self, "voltages", v)
         object.__setattr__(self, "shifts_mev", s)

@@ -270,6 +270,68 @@ def test_write_csv_rows_bytes_match_per_value_formatting(tmp_path_factory, rows,
         assert not path.exists()
 
 
+def _edge_float_rows(n, wrap):
+    """The columns and rows of an n-row, two-column float table across many
+    magnitudes with EDGE_FLOATS sprinkled in; a value is an np.float64
+    where wrap(column, row) is true, a float otherwise."""
+    rng = np.random.default_rng(n)
+    columns = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-320, 300, (2, n))
+    edge = rng.random((2, n)) < 0.1
+    columns[edge] = rng.choice(EDGE_FLOATS, int(edge.sum()))
+    table = [[np.float64(v) if wrap(k, i) else v for i, v in enumerate(column)]
+             for k, column in enumerate(columns.tolist())]
+    return list(columns), list(zip(*table))
+
+
+def _formatted(header, rows):
+    lines = [",".join(header)] + [",".join(map(format_value, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1,
+                               2 * WRITE_CHUNK_ROWS + 37])
+@pytest.mark.parametrize("wrap, kinds", [
+    (lambda k, i: False, {float}),
+    (lambda k, i: True, {np.float64}),
+    (lambda k, i: (k + i) % 2 == 1, {float, np.float64}),
+], ids=["float", "float64", "mixed"])
+def test_write_csv_all_float_rows_match_columns_and_per_value_formatting(tmp_path, n,
+                                                                         wrap, kinds):
+    # All-float rows take the float-array path, chunk by chunk.
+    columns, rows = _edge_float_rows(n, wrap)
+    assert {type(v) for row in rows for v in row} == kinds
+    by_rows = write_csv(tmp_path / "rows.csv", ["a", "b"], iter(rows))
+    by_columns = write_csv(tmp_path / "columns.csv", ["a", "b"], columns=columns)
+    assert by_rows.read_bytes() == by_columns.read_bytes() == _formatted(["a", "b"], rows)
+
+
+def test_write_csv_rows_change_route_between_chunks(tmp_path, monkeypatch):
+    # The first and last chunks are all-float; the middle one holds a flag
+    # column, so it alone is formatted as strings.
+    from qdswitch import csvio
+    _, rows = _edge_float_rows(2 * WRITE_CHUNK_ROWS + 37, lambda k, i: i % 3 == 0)
+    rows = [(a, b > 0.0) if WRITE_CHUNK_ROWS <= i < 2 * WRITE_CHUNK_ROWS else (a, b)
+            for i, (a, b) in enumerate(rows)]
+    float_chunks = []
+    write_float_columns = csvio._write_float_columns
+
+    def spy(f, chunk_columns):
+        float_chunks.append(chunk_columns[0].size)
+        write_float_columns(f, chunk_columns)
+    monkeypatch.setattr(csvio, "_write_float_columns", spy)
+    path = write_csv(tmp_path / "t.csv", ["a", "b"], iter(rows))
+    assert float_chunks == [WRITE_CHUNK_ROWS, 37]
+    assert path.read_bytes() == _formatted(["a", "b"], rows)
+
+
+def test_write_csv_all_float_rows_bad_width_in_second_chunk_leaves_no_file(tmp_path):
+    _, rows = _edge_float_rows(2 * WRITE_CHUNK_ROWS + 37, lambda k, i: False)
+    rows[WRITE_CHUNK_ROWS + 5] = rows[WRITE_CHUNK_ROWS + 5] * 2
+    with pytest.raises(DomainError, match="width"):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], iter(rows))
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def _sorted_edges(n):
     """n strictly increasing floats across many magnitudes, -inf to inf."""
     rng = np.random.default_rng(13)
