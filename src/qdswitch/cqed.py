@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_NM_NS
-from .errors import DomainError, check_domains, domain
+from .errors import DomainError, check_array, check_domains, domain
 
 
 @dataclass(frozen=True)
@@ -64,24 +64,10 @@ class Spectrum:
     """Sampled spectrum: strictly increasing angular-GHz detuning grid
     with non-negative intensities."""
 
-    detunings: np.ndarray
-    intensities: np.ndarray
+    detunings: np.ndarray = domain("array", (1, "increasing", ("finite",)))
+    intensities: np.ndarray = domain("array", ((">=", 0.0),))
 
-    def __post_init__(self) -> None:
-        det = np.asarray(self.detunings, dtype=float)
-        inten = np.asarray(self.intensities, dtype=float)
-        if det.ndim != 1 or det.size == 0:
-            raise DomainError("detuning grid must be a non-empty 1-D array")
-        if inten.shape != det.shape:
-            raise DomainError("intensities must match the detuning grid length")
-        if det.size > 1 and not np.all(np.diff(det) > 0.0):
-            raise DomainError("detuning grid must be strictly increasing")
-        if not np.all(np.isfinite(det)) or not np.all(np.isfinite(inten)):
-            raise DomainError("spectrum values must be finite")
-        if np.any(inten < 0.0):
-            raise DomainError("intensities must be non-negative")
-        object.__setattr__(self, "detunings", det)
-        object.__setattr__(self, "intensities", inten)
+    __post_init__ = check_domains
 
     def __len__(self) -> int:
         return int(self.detunings.size)
@@ -174,9 +160,10 @@ def pl_spectrum(params: CqedParams, detunings) -> Spectrum:
     polariton positions with the polariton half widths."""
     grid = np.asarray(detunings, dtype=float)
     total = np.zeros_like(grid)
-    for mode in polariton_modes(params):
-        center, hwhm = mode.real, -mode.imag
-        total += hwhm ** 2 / ((grid - center) ** 2 + hwhm ** 2)
+    with np.errstate(over="ignore"):  # a term whose square overflows is exactly 0.0
+        for mode in polariton_modes(params):
+            center, hwhm = mode.real, -mode.imag
+            total += hwhm ** 2 / ((grid - center) ** 2 + hwhm ** 2)
     return Spectrum(grid, params.background + params.amplitude * total)
 
 
@@ -222,11 +209,7 @@ def g_of_voltage(anchors: Sequence[tuple[float, float]], v):
     """Piecewise-linear coupling versus bias from anchor points, clamped
     at both ends.  Needs at least two anchors with increasing voltage.
     Returns a float for a scalar bias and an array for an array."""
-    if len(anchors) < 2:
-        raise DomainError("g_of_voltage needs at least two anchor points")
-    volts = np.asarray([a[0] for a in anchors], dtype=float)
+    volts = check_array("anchor voltages", [a[0] for a in anchors], (2, "increasing"))
     gs = np.asarray([a[1] for a in anchors], dtype=float)
-    if not np.all(np.diff(volts) > 0.0):
-        raise DomainError("anchor voltages must be strictly increasing")
     g = np.interp(v, volts, gs)
     return float(g) if np.ndim(g) == 0 else g

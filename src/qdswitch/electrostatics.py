@@ -28,7 +28,7 @@ from .constants import (
     UM3_PER_CM3,
     VACUUM_PERMITTIVITY_F_UM,
 )
-from .errors import DomainError, check_domains, check_value, domain
+from .errors import DomainError, check_array, check_domains, check_value, domain
 
 # Sign convention for the field seen by the dot: negative toward the
 # electrode.  With the fitted coefficients below this reproduces the
@@ -112,22 +112,10 @@ class DriveSpec:
 class ShiftDataset:
     """Measured (reverse bias, shift) samples."""
 
-    voltages: np.ndarray
-    shifts_mev: np.ndarray
+    voltages: np.ndarray = domain("array", (2, ("finite",), "distinct"))
+    shifts_mev: np.ndarray = domain("array", (("finite",),))
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.voltages, dtype=float)
-        s = np.asarray(self.shifts_mev, dtype=float)
-        if v.ndim != 1 or v.size < 2 or s.shape != v.shape:
-            raise DomainError("shift dataset needs matching 1-D arrays, >= 2 points")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(s))):
-            raise DomainError("shift dataset voltages and shifts must be finite")
-        # Sorted neighbours, not np.unique, which imports numpy.ma on first use.
-        ordered = np.sort(v)
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise DomainError("shift dataset voltages must be distinct")
-        object.__setattr__(self, "voltages", v)
-        object.__setattr__(self, "shifts_mev", s)
+    __post_init__ = check_domains
 
 
 def _result(values):
@@ -141,9 +129,7 @@ def depletion_width(params: ElectrostaticParams, v_reverse):
     x_d = sqrt(2 eps (phi + V) / (e N_d)); strictly increasing and
     concave in the bias.  Takes a scalar or an array of biases.
     """
-    v = np.asarray(v_reverse, dtype=float)
-    if not (v >= 0.0).all():
-        raise DomainError(f"v_reverse must be >= 0, got {v_reverse}")
+    v = check_array("v_reverse", v_reverse, ((">=", 0.0),))
     eps = VACUUM_PERMITTIVITY_F_UM * params.relative_permittivity
     nd_um3 = params.donor_density_cm3 / UM3_PER_CM3
     drop = params.barrier_potential_v + v

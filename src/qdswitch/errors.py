@@ -1,15 +1,22 @@
-"""Exception types shared across the package, and the one scalar domain check.
+"""Exception types shared across the package, and the one domain check.
 
 Each scalar's domain is declared once, on a dataclass field with domain()
 or as a config key's third element.  check_value tests a float kind for
 finiteness first, then its bound, and raises DomainError("duty must be in
 (0, 1), got 1.0", field=...).  A config file's message adds "<file>:<line>: "
 before that and " (config key <key>)" after it.
+
+An array's rules, in domain("array", rules) or check_array, run in order:
+an int n (1-D, n values or more), a scalar (kind, bound) for every value,
+or "increasing", "uniform" or "distinct" along the axis.  The message names
+the first bad value: "intensities must be >= 0, got -1.0".
 """
 
 import dataclasses
 import math
 import sys
+
+import numpy as np
 
 
 class QdSwitchError(Exception):
@@ -76,9 +83,51 @@ def check_value(label: str, value, kind: str, bound=None, field: str | None = No
     return value
 
 
+BLOCK_SAMPLES = 8192  # values per step of an array check or a trace evaluation
+
+# axis rule -> (rule, good steps of a block led by the value before it): a uniform
+# step is np.isclose(rtol=1e-9, atol=0) to the first; distinct sorts, as np.unique
+# imports numpy.ma.
+_AXES = {
+    "increasing": ("be strictly increasing", lambda b, a: b[1:] > b[:-1]),
+    "uniform": ("be uniformly sampled",
+                lambda b, a: abs(b[1:] - b[:-1] - (a[1] - a[0])) <= 1e-9 * abs(a[1] - a[0])),
+    "distinct": ("be distinct", lambda b, a: b[1:] != b[:-1]),
+}
+
+
+def check_array(label: str, values, rules, field: str | None = None):
+    """Return values as float64 if they meet every rule, in order, else raise
+    DomainError("<label> must ..., got <first bad value>", field=field)."""
+    array = np.asarray(values, dtype=float)
+    for rule in rules:
+        if isinstance(rule, int):
+            if array.ndim != 1 or array.size < rule:
+                raise DomainError(f"{label} must be 1-D with >= {rule} values, "
+                                  f"got shape {array.shape}", field=field)
+            continue
+        if rule in _AXES:
+            text, good = _AXES[rule]
+            walked, back = np.sort(array, axis=None) if rule == "distinct" else array.ravel(), 1
+        else:
+            kind, bound = (*rule, None)[:2]
+            low, high = _KINDS[kind][0](bound)
+            walked, back, good = array.ravel(), 0, lambda b, a: (low <= b) & (b <= high)
+        # Each block of BLOCK_SAMPLES values reaches back one more for a step.
+        for start in range(back, walked.size, BLOCK_SAMPLES):
+            block = walked[start - back:start + BLOCK_SAMPLES]
+            ok = good(block, walked)
+            if not ok.all():
+                value = float(block[back + ok.argmin()])
+                if rule not in _AXES:
+                    check_value(label, value, kind, bound, field=field)  # raises
+                raise DomainError(f"{label} must {text}, got {value}", field=field)
+    return array
+
+
 def domain(kind: str, bound=None, *, label: str | None = None, default=dataclasses.MISSING):
-    """Dataclass field that check_domains tests against (kind, bound); label
-    names it in messages (the field name by default)."""
+    """Dataclass field that check_domains tests against (kind, bound), or against
+    check_array's rules if kind is "array"; label names it (the field name by default)."""
     return dataclasses.field(default=default, metadata={"domain": (kind, bound, label)})
 
 
@@ -89,13 +138,23 @@ _SPECS: dict[type, tuple] = {}
 def check_domains(obj) -> None:
     """Test every domain() field of a dataclass instance, in field order; a
     field whose default is None also accepts None.  A float inside its
-    range passes without a call; a message is built only on failure."""
+    range passes without a call; a message is built only on failure.  An
+    array field is stored checked as float64, in the first one's shape."""
     cls = type(obj)
     if cls not in _SPECS:
-        _SPECS[cls] = tuple((f.name, *_KINDS[k][0](b), k, b, lab or f.name, f.default is None)
+        _SPECS[cls] = tuple((f.name, *(_KINDS[k][0](b) if k in _KINDS else (None, None)), k, b,
+                             lab or f.name, f.default is None)
                             for f in dataclasses.fields(cls) if "domain" in f.metadata
                             for k, b, lab in [f.metadata["domain"]])
+    first = None
     for name, low, high, kind, bound, label, optional in _SPECS[cls]:
         value = getattr(obj, name)
-        if not (optional and value is None or low <= value <= high and kind != "int>="):
+        if kind == "array":
+            array = check_array(label, value, bound, field=name)
+            first = first or (label, array.shape)
+            if array.shape != first[1]:
+                raise DomainError(f"{label} must have shape {first[1]} like {first[0]}, "
+                                  f"got shape {array.shape}", field=name)
+            object.__setattr__(obj, name, array)
+        elif not (optional and value is None or low <= value <= high and kind != "int>="):
             check_value(label, value, kind, bound, field=name)

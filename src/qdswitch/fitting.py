@@ -31,7 +31,7 @@ from .electrostatics import (
     stark_shift,
     voltage_to_detuning,
 )
-from .errors import DegenerateFitError, DomainError, check_value
+from .errors import DegenerateFitError, DomainError, check_array, check_value
 
 MAX_ITERATIONS = 500
 REL_RESIDUAL_TOL = 1e-9
@@ -395,14 +395,8 @@ def fit_contrast(
     deterministic grid for a starting point, then refines with the
     damped Gauss-Newton loop in (log gamma, logit s) coordinates.
     """
-    if len(targets) < 2:
-        raise DomainError("contrast calibration needs at least two (V, ratio) targets")
-    volts = np.asarray([t[0] for t in targets], dtype=float)
-    ratios = np.asarray([t[1] for t in targets], dtype=float)
-    if not np.all(np.isfinite(ratios) & (ratios >= 1.0)):
-        raise DomainError("on/off ratios must be finite and >= 1")
-    if not np.all(np.isfinite(volts) & (volts >= 0.0)):
-        raise DomainError("bias targets must be finite and >= 0")
+    volts = check_array("bias targets", [t[0] for t in targets], (2, (">=", 0.0)))
+    ratios = check_array("on/off ratios", [t[1] for t in targets], ((">=", 1.0),))
     # The detuning is linear in the screening factor: evaluate it once at
     # s = 1 for every target and for the zero-bias reference, then scale.
     unscreened = voltage_to_detuning(elec, stark, np.append(volts, 0.0),

@@ -26,43 +26,20 @@ from .electrostatics import (
     StarkCoefficients,
     voltage_to_detuning,
 )
-from .errors import AdiabaticityWarning, DegenerateTraceError, DomainError, check_domains, domain
+from .errors import BLOCK_SAMPLES, AdiabaticityWarning, DegenerateTraceError, check_domains, domain
 
 # Adiabaticity guard: warn when drive frequency exceeds kappa/(2 pi)/10.
 ADIABATIC_MARGIN = 10.0
-# Samples per step when a trace is checked or the switching model is
-# evaluated, so their temporaries do not grow with the trace.
-BLOCK_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
 class TimeTrace:
     """Uniformly sampled, finite, non-negative trace: times in ns."""
 
-    times: np.ndarray
-    values: np.ndarray
+    times: np.ndarray = domain("array", (2, "increasing", ("finite",), "uniform"))
+    values: np.ndarray = domain("array", ((">=", 0.0),))
 
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.size < 2 or v.shape != t.shape:
-            raise DomainError("trace needs matching 1-D arrays with >= 2 samples")
-        # Steps are checked BLOCK_SAMPLES at a time against the first one;
-        # a step that is not positive anywhere is reported before any
-        # non-uniform one.
-        first = t[1] - t[0]
-        uniform = True
-        for start in range(0, t.size - 1, BLOCK_SAMPLES):
-            steps = np.diff(t[start:start + BLOCK_SAMPLES + 1])
-            if not np.all(steps > 0.0):
-                raise DomainError("times must be strictly increasing")
-            uniform = uniform and np.allclose(steps, first, rtol=1e-9, atol=0.0)
-        if not uniform:
-            raise DomainError("times must be uniformly sampled")
-        if not (np.all(np.isfinite(v)) and np.all(v >= 0.0)):
-            raise DomainError("trace values must be finite and non-negative")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)

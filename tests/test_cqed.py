@@ -182,9 +182,9 @@ def test_reflectivity_rejects_empty_grid(device_cqed):
 
 @pytest.mark.parametrize("spectrum", [reflectivity_spectrum, pl_spectrum])
 @pytest.mark.parametrize("grid, message", [
-    ([], "non-empty 1-D"),
-    ([[1.0, 2.0]], "non-empty 1-D"),
-    (3.0, "non-empty 1-D"),
+    ([], r"detunings must be 1-D with >= 1 values, got shape \(0,\)"),
+    ([[1.0, 2.0]], r"detunings must be 1-D with >= 1 values, got shape \(1, 2\)"),
+    (3.0, r"detunings must be 1-D with >= 1 values, got shape \(\)"),
     ([1.0, 1.0], "strictly increasing"),
     ([1.0, math.nan, 3.0], "strictly increasing"),
     ([math.nan], "finite"),

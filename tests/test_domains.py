@@ -1,8 +1,10 @@
-"""Scalar domains: declared once, tested finite first, then against the bound.
+"""Domains: declared once, tested finite first, then against the bound.
 
-check_value is the one test; the validated types declare their fields'
-domains with domain(), and the config keys no type checks declare theirs
-in config._KEYS, checked as each line is read.
+check_value is the one scalar test; the validated types declare their
+fields' domains with domain(), and the config keys no type checks declare
+theirs in config._KEYS, checked as each line is read.  check_array is the
+one array test: the array types declare domain("array", rules), walked
+BLOCK_SAMPLES values at a time.
 """
 
 import math
@@ -10,8 +12,9 @@ import operator
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdswitch import (
@@ -21,10 +24,13 @@ from qdswitch import (
     DriveSpec,
     ElectrostaticParams,
     OpticalFrame,
+    ShiftDataset,
+    Spectrum,
     StarkCoefficients,
+    TimeTrace,
 )
 from qdswitch.config import _KEYS, parse_config
-from qdswitch.errors import check_value
+from qdswitch.errors import BLOCK_SAMPLES, check_array, check_value
 from qdswitch.switching import EnergyBudget
 
 VALID = {
@@ -38,10 +44,16 @@ VALID = {
                      dot_decay=0.6, amplitude=1.0, background=0.0),
     OpticalFrame: dict(reference_wavelength_nm=935.0, quality_factor=4000.0),
     EnergyBudget: dict(active_volume_um3=0.2, field_v_per_um=5.0, relative_permittivity=12.9),
+    # Every array field takes valid_array(n) for any n its rules allow.
+    Spectrum: dict(detunings=None, intensities=None),
+    TimeTrace: dict(times=None, values=None),
+    ShiftDataset: dict(voltages=None, shifts_mev=None),
 }
 
 DECLARED = [(cls, f.name, *f.metadata["domain"]) for cls in VALID for f in fields(cls)
             if "domain" in f.metadata]
+SCALARS = [spec for spec in DECLARED if spec[2] != "array"]
+ARRAYS = [spec for spec in DECLARED if spec[2] == "array"]
 
 
 def test_every_field_of_the_validated_types_declares_its_domain():
@@ -50,7 +62,7 @@ def test_every_field_of_the_validated_types_declares_its_domain():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("cls, name, kind, bound, label", DECLARED)
+@pytest.mark.parametrize("cls, name, kind, bound, label", SCALARS)
 def test_non_finite_field_is_rejected_naming_it(cls, name, kind, bound, label, bad):
     cls(**VALID[cls])
     rule = "an integer" if kind == "int>=" else "finite"
@@ -151,3 +163,100 @@ def test_check_value_integer_kind(bound, value):
                                  f"got {re.escape(str(value))}$") as info:
             check_value("n", value, "int>=", bound, field="f")
         assert info.value.field == "f"
+
+
+# -- check_array over every declared array rule ---------------------------------------
+
+
+def valid_array(n):
+    """n values that meet every declared array rule: increasing, uniform,
+    distinct, finite and >= 1, with steps exact in binary."""
+    return 1.0 + 0.5 * np.arange(n)
+
+
+def build(cls, planted_name, planted):
+    """cls with planted as one array field and valid arrays of its size as the others."""
+    return cls(**{name: planted if name == planted_name else valid_array(planted.size)
+                  for name in VALID[cls]})
+
+
+def test_every_array_type_accepts_valid_arrays_as_float64():
+    for cls in {spec[0] for spec in ARRAYS}:
+        obj = build(cls, None, valid_array(2 * BLOCK_SAMPLES + 3))
+        for name in VALID[cls]:
+            assert getattr(obj, name).dtype == np.float64
+
+
+ARRAY_RULES = [(cls, name, label or name, rules[:k], rule) for cls, name, _, rules, label in ARRAYS
+               for k, rule in enumerate(rules) if not isinstance(rule, int)]
+STEP_RULES = {"increasing", "uniform", "distinct"}
+RULE_TEXT = {"increasing": "be strictly increasing", "uniform": "be uniformly sampled",
+             "distinct": "be distinct", "finite": "be finite", ">=": "be >= {:g}"}
+
+# Indices at and around the first block edges, or anywhere past the first value.
+EDGE = st.sampled_from([k * BLOCK_SAMPLES + d for k in range(4) for d in (-1, 0, 1, 2)
+                        if k * BLOCK_SAMPLES + d >= 1])
+INDEX = st.one_of(EDGE, st.integers(1, 3 * BLOCK_SAMPLES + 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=INDEX, tail=st.one_of(st.just(0), st.integers(0, 2 * BLOCK_SAMPLES)),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+@pytest.mark.parametrize("cls, name, label, before, rule",
+                         ARRAY_RULES, ids=lambda p: getattr(p, "__name__", str(p)))
+def test_array_rule_names_the_planted_value_at_any_block_edge(cls, name, label, before, rule,
+                                                              index, tail, bad):
+    values = valid_array(index + 1 + tail)
+    if rule in ("increasing", "distinct"):
+        values[index] = values[index - 1]
+    elif rule == "uniform":
+        assume(index >= 2)  # the first step is the spacing the others must keep
+        values[index] += 0.25
+    elif rule[0] == "finite":
+        if STEP_RULES & set(before):
+            # Inside an increasing axis only a last +inf breaks no step.
+            values, bad = values[:index + 1], math.inf
+        values[index] = bad
+    else:
+        values[index] = rule[1] - 1.0
+    text = RULE_TEXT[rule] if rule in RULE_TEXT else RULE_TEXT[rule[0]].format(*rule[1:])
+    message = f"^{re.escape(f'{label} must {text}, got {values[index]}')}$"
+    with pytest.raises(DomainError, match=message) as info:
+        build(cls, name, values)
+    assert info.value.field == name
+    with pytest.raises(DomainError, match=message) as info:
+        check_array(label, values, (rule,), field="f")
+    assert info.value.field == "f"
+
+
+INT_RULES = [(cls, name, label or name, rule) for cls, name, _, rules, label in ARRAYS
+             for rule in rules if isinstance(rule, int)]
+
+
+@pytest.mark.parametrize("cls, name, label, least", INT_RULES)
+@pytest.mark.parametrize("shape", ["short", "2-D", "0-D"])
+def test_array_size_rule_names_the_shape(cls, name, label, least, shape):
+    values = {"short": valid_array(least - 1), "2-D": valid_array(2 * least).reshape(2, -1),
+              "0-D": np.float64(1.0)}[shape]
+    with pytest.raises(DomainError) as info:
+        cls(**{field: values for field in VALID[cls]})
+    assert str(info.value) == \
+        f"{label} must be 1-D with >= {least} values, got shape {values.shape}"
+    assert info.value.field == name
+
+
+@pytest.mark.parametrize("cls", sorted({spec[0] for spec in ARRAYS}, key=lambda c: c.__name__))
+def test_later_array_field_must_have_the_first_ones_shape(cls):
+    first, later = VALID[cls]
+    with pytest.raises(DomainError) as info:
+        cls(**{first: valid_array(5), later: valid_array(4)})
+    assert str(info.value) == f"{later} must have shape (5,) like {first}, got shape (4,)"
+    assert info.value.field == later
+
+
+def test_check_array_keeps_the_bits_and_reports_a_scalar_like_check_value():
+    values = np.array([0.1, 1.0 / 3.0, 1e-300])
+    assert check_array("x", values, (2, (">=", 0.0))) is values
+    with pytest.raises(DomainError, match=r"^v must be >= 0, got -0\.1$") as info:
+        check_array("v", -0.1, ((">=", 0.0),))
+    assert info.value.field is None

@@ -58,7 +58,7 @@ CLI_FAILURES = {
     "repeated voltage": (
         ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
         {"d.csv": "voltage_V,shift_meV\n0,0\n1,0.1\n1,0.2\n"},
-        3, "IngestError", "{tmp}/d.csv: shift dataset voltages must be distinct"),
+        3, "IngestError", "{tmp}/d.csv: voltages must be distinct, got 1.0"),
     "zero coupling on a log scale": (
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv", "--config", "{tmp}/c.cfg"],
         {"d.csv": SPECTRUM_TEXT, "c.cfg": "g_ghz = 0\n"},
@@ -131,16 +131,16 @@ LIBRARY_FAILURES = {
         "^free parameter set must not be empty$"),
     "decreasing times": (
         lambda: TimeTrace(np.array([0.0, 2.0, 1.0]), np.ones(3)),
-        "^times must be strictly increasing$"),
+        "^times must be strictly increasing, got 1.0$"),
     "trace shapes differ": (
         lambda: TimeTrace(GRID, np.ones(2)),
-        "^trace needs matching 1-D arrays"),
+        r"^values must have shape \(3,\) like times, got shape \(2,\)$"),
     "negative intensity": (
         lambda: Spectrum(GRID, np.array([1.0, -1.0, 1.0])),
-        "^intensities must be non-negative$"),
+        "^intensities must be >= 0, got -1.0$"),
     "spectrum lengths differ": (
         lambda: Spectrum(GRID, np.ones(2)),
-        "^intensities must match the detuning grid length$"),
+        r"^intensities must have shape \(3,\) like detunings, got shape \(2,\)$"),
 }
 
 

@@ -595,6 +595,20 @@ def test_cli_spectrum_and_metrics(tmp_path):
     assert float(rows["onset_voltage_V"]) == pytest.approx(3.19, abs=0.01)
 
 
+def test_cli_spectrum_on_a_far_grid_exits_0_with_finite_cells(tmp_path):
+    # Far out on the grid each PL term's square overflows; the term's limit
+    # there, 0.0, is the value written, so the run must not warn either
+    # (the suite turns a RuntimeWarning into an error).
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("detuning_stop_ghz = 1e307\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("spectrum", "--preset", "paper", "--config", str(cfg),
+                   "--out", str(out)) == 0
+    cells = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    assert cells.shape == (601, 3)
+    assert np.isfinite(cells).all()
+
+
 def test_cli_array_outputs_match_per_value_formatting(tmp_path):
     from qdswitch import pl_spectrum, reflectivity_spectrum, simulate_switching
     from qdswitch.cli import _calibrated_cqed, _preset_path
