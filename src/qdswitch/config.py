@@ -21,7 +21,7 @@ import numpy as np
 from .constants import TWO_PI
 from .cqed import CqedParams, OpticalFrame, kappa_from_q
 from .electrostatics import DriveSpec, ElectrostaticParams, StarkCoefficients
-from .errors import ConfigError, DomainError, check_value
+from .errors import ConfigError, DomainError, check_array, check_value
 
 
 def _parse_float(text: str) -> float:
@@ -183,14 +183,11 @@ class RunConfig:
         gs = self["g_anchor_ghz"]
         if not volts and not gs:
             return None
-        if any(b <= a for a, b in zip(volts, volts[1:])):
-            raise ConfigError(f"g_anchor_v must be strictly increasing, got {volts} "
-                              "(config key g_anchor_v)")
-        if (len(gs) != len(volts) or len(gs) < 2
-                or not 0.0 <= min(gs) <= max(gs) <= _ANGULAR_LIMIT):
-            raise ConfigError(f"g_anchor_ghz must give one coupling in [0, {_ANGULAR_LIMIT:g}] "
-                              f"per g_anchor_v voltage, at least two, got {gs} "
-                              "(config key g_anchor_ghz)")
+        _check_list("g_anchor_v", volts, ("increasing",))
+        _check_list("g_anchor_ghz", gs, (2, ("[]", (0.0, _ANGULAR_LIMIT))))
+        if len(gs) != len(volts):
+            raise ConfigError(f"g_anchor_ghz must give one coupling per g_anchor_v voltage, "
+                              f"got {len(gs)} for {len(volts)} (config key g_anchor_ghz)")
         return tuple((v, TWO_PI * g) for v, g in zip(volts, gs))
 
     def voltage_grid(self) -> np.ndarray:
@@ -220,6 +217,14 @@ class RunConfig:
             raise ConfigError(f"fit_free must list some of {', '.join(known)}, "
                               f"got '{self['fit_free']}' (config key fit_free)")
         return names
+
+
+def _check_list(label: str, values, rules, key: str | None = None) -> None:
+    """check_array on a list key's values, naming the key (label by default) on failure."""
+    try:
+        check_array(label, values, rules)
+    except DomainError as exc:
+        raise ConfigError(f"{exc} (config key {key or label})") from exc
 
 
 def parse_assignments(text: str, origin: str) -> dict[str, Any]:
@@ -274,10 +279,9 @@ def _validate(cfg: RunConfig) -> None:
     cfg.voltage_grid()
     cfg.detuning_grid()
     cfg.fit_free()
-    targets = cfg["contrast_targets"]
-    for v, ratio in targets:
-        if len(targets) < 2 or not (ratio >= 1.0 and v >= 0.0):
-            raise ConfigError(f"contrast_targets need two or more V:ratio pairs with V >= 0 "
-                              f"and ratio >= 1, got {v}:{ratio} (config key contrast_targets)")
+    if cfg["contrast_targets"]:
+        volts, ratios = zip(*cfg["contrast_targets"])
+        _check_list("contrast_targets voltages", volts, (2, (">=", 0.0)), "contrast_targets")
+        _check_list("contrast_targets ratios", ratios, ((">=", 1.0),), "contrast_targets")
     if abs(cfg["field_sign"]) != 1.0:
         raise ConfigError("field_sign must be +1 or -1 (config key field_sign)")

@@ -83,7 +83,7 @@ def check_value(label: str, value, kind: str, bound=None, field: str | None = No
     return value
 
 
-BLOCK_SAMPLES = 8192  # values per step of an array check or a trace evaluation
+BLOCK_SAMPLES = 8192  # values per step of an array check
 
 # axis rule -> (rule, good steps of a block led by the value before it): a uniform
 # step is np.isclose(rtol=1e-9, atol=0) to the first; distinct sorts, as np.unique
@@ -116,7 +116,8 @@ def check_array(label: str, values, rules, field: str | None = None):
         # Each block of BLOCK_SAMPLES values reaches back one more for a step.
         for start in range(back, walked.size, BLOCK_SAMPLES):
             block = walked[start - back:start + BLOCK_SAMPLES]
-            ok = good(block, walked)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is bad
+                ok = good(block, walked)
             if not ok.all():
                 value = float(block[back + ok.argmin()])
                 if rule not in _AXES:

@@ -26,7 +26,7 @@ from .electrostatics import (
     StarkCoefficients,
     voltage_to_detuning,
 )
-from .errors import BLOCK_SAMPLES, AdiabaticityWarning, DegenerateTraceError, check_domains, domain
+from .errors import AdiabaticityWarning, DegenerateTraceError, check_domains, domain
 
 # Adiabaticity guard: warn when drive frequency exceeds kappa/(2 pi)/10.
 ADIABATIC_MARGIN = 10.0
@@ -73,44 +73,32 @@ def _sample_times(drive: DriveSpec, first: int = 0) -> np.ndarray:
     return times
 
 
-def _rc_line(drive: DriveSpec, skip_cycles: int) -> tuple[np.ndarray, np.ndarray]:
-    """Times and line voltages of every sample after the first skip_cycles
-    cycles, by the segment recurrence of rc_response.
+def _rc_line(drive: DriveSpec, start: float, cycles: int) -> np.ndarray:
+    """Line voltage at every sample of cycles whole cycles from start: the
+    exact zero-order-hold solution of tau dVf/dt = V(t) - Vf.
 
-    Both arrays are allocated before any cycle is walked.  A skipped
-    segment is carried as its end value alone, level + (y - level) *
-    decay[length - 1]: the same float operations as the last element of a
-    kept segment, so the kept samples have the bits of a full run sliced.
+    The drive holds a level U over whole segments of samples (two per
+    cycle), so m samples into a segment that starts at Vf = y0 the line
+    sits at U + (y0 - U) exp(-m dt / tau), with no integration error.
     """
     spc = int(drive.samples_per_cycle)
-    times = _sample_times(drive, skip_cycles * spc)
-    out = np.empty(times.size + 1)  # the last segment also writes one sample past the end
+    out = np.empty(cycles * spc + 1)  # the last segment also writes one sample past the end
     decay = np.exp(-(np.arange(1, spc + 1) * (drive.period_ns / spc)) / drive.tau_ns)
-    segments = [(drive.v_high, drive.high_samples), (drive.v_low, spc - drive.high_samples)]
-    y = drive.v_low
-    for level, length in segments * skip_cycles:
-        y = level + (y - level) * decay[length - 1]
-    out[0] = y
-    start = 0
-    for level, length in segments * (int(drive.cycles) - skip_cycles):
-        out[start + 1:start + length + 1] = level + (out[start] - level) * decay[:length]
-        start += length
-    return times, out[:-1]
+    out[0], i = start, 0
+    for level, length in [(drive.v_high, drive.high_samples),
+                          (drive.v_low, spc - drive.high_samples)] * cycles:
+        out[i + 1:i + length + 1] = level + (out[i] - level) * decay[:length]
+        i += length
+    return out[:-1]
 
 
 def rc_response(drive: DriveSpec) -> TimeTrace:
-    """Line-filtered voltage: the exact zero-order-hold solution of
-    tau dVf/dt = V(t) - Vf from Vf(0) = v_low.
-
-    The drive holds a level U over whole segments of samples (two per
-    cycle), so m samples into a segment that starts at Vf = y0 the
-    output is U + (y0 - U) exp(-m dt / tau), with no integration error.
-    This is the no-skip case of the recurrence simulate_switching runs.
+    """Line-filtered voltage over all cycles, transient included, from Vf(0) = v_low.
 
     The fundamental harmonic of the steady-state output is attenuated by
     |H(f)| = (1 + (f/f_c)^2)^(-1/2) relative to the ideal square wave.
     """
-    return TimeTrace(*_rc_line(drive, 0))
+    return TimeTrace(_sample_times(drive), _rc_line(drive, drive.v_low, int(drive.cycles)))
 
 
 def simulate_switching(
@@ -124,19 +112,15 @@ def simulate_switching(
     g_anchors: Sequence[tuple[float, float]] | None = None,
     field_sign: float = DEFAULT_FIELD_SIGN,
 ) -> TimeTrace:
-    """Probe-intensity trace for a modulated bias, steady-state cycles only.
+    """Probe-intensity trace for a modulated bias in its periodic steady state.
 
     The dot frequency follows w_d0 + detuning(Vf(t)); the coupling stays
     at cqed.coupling unless g_anchors supplies a bias dependence.  The
     probe sits at the zero-bias dot frequency unless probe_freq is
-    given.  The first ceil(cycles/3) cycles are discarded as the RC
-    transient: the line carries each of their segments as one end value.
-
-    Only the retained samples are stored.  The field map, the coupling
-    interpolation and the reflectivity kernel are elementwise, so they
-    run BLOCK_SAMPLES at a time, each block's intensities overwriting its
-    line voltages; the result has the bits of the full model sliced, and
-    memory scales with the returned trace.
+    given.  One cycle of the line from its closed-form fixed point goes
+    through the model, and its intensities repeat over the output, which
+    spans the sample times of the last cycles - ceil(cycles/3) cycles:
+    cycles sets only the trace length.
     """
     drive_ghz = drive.frequency_mhz * 1e-3
     if drive_ghz > cqed.cavity_decay / (2.0 * math.pi) / ADIABATIC_MARGIN:
@@ -147,24 +131,34 @@ def simulate_switching(
             stacklevel=2,
         )
 
-    times, values = _rc_line(drive, math.ceil(drive.cycles / 3))
+    # The line's cycle map y -> L + (H + (y - H) a_h - L) a_l has the fixed point
+    # (L (1 - a_l) + H (1 - a_h) a_l) / (1 - a_h a_l), each 1 - a by expm1 so a slow line
+    # does not cancel, clamped to the rails, which underflow can round it past.  If tau
+    # overflows, 1 - a_h a_l is 0 and the line stays at v_low.
+    spc, high = int(drive.samples_per_cycle), drive.high_samples
+    skip = math.ceil(drive.cycles / 3)
+    times = _sample_times(drive, skip * spc)  # first, so a size too large fails at once
+    steps = np.array([high, spc - high, spc]) * (drive.period_ns / spc) / drive.tau_ns
+    rise_h, rise_l, rise = -np.expm1(-steps)
+    start = ((drive.v_low * rise_l + drive.v_high * rise_h * math.exp(-steps[1])) / rise
+             if rise > 0.0 else drive.v_low)
+    volts = _rc_line(drive, min(max(start, drive.v_low), drive.v_high), 1)
+    detune = voltage_to_detuning(elec, stark, volts, screening=screening, field_sign=field_sign)
+    g = None if g_anchors is None else g_of_voltage(g_anchors, volts)
     omega_probe = cqed.dot_freq if probe_freq is None else probe_freq
-    for start in range(0, values.size, BLOCK_SAMPLES):
-        volts = values[start:start + BLOCK_SAMPLES]
-        detune = voltage_to_detuning(elec, stark, volts, screening=screening,
-                                     field_sign=field_sign)
-        g = None if g_anchors is None else g_of_voltage(g_anchors, volts)
-        volts[:] = reflectivity_model(cqed, omega_probe, dot_freq=cqed.dot_freq + detune,
-                                      coupling=g)
-    return TimeTrace(times, values)
+    cycle = reflectivity_model(cqed, omega_probe, dot_freq=cqed.dot_freq + detune, coupling=g)
+    return TimeTrace(times, np.tile(cycle, int(drive.cycles) - skip))
 
 
 def on_off_ratio(trace: TimeTrace) -> float:
-    """max/min intensity over the retained window; needs a positive floor."""
+    """max/min intensity of the trace; needs a positive floor and a finite ratio."""
     lo = float(np.min(trace.values))
     if not lo > 0.0:
         raise DegenerateTraceError("trace minimum must be > 0 for an on/off ratio")
-    return float(np.max(trace.values)) / lo
+    ratio = float(np.max(trace.values)) / lo
+    if not math.isfinite(ratio):
+        raise DegenerateTraceError(f"on/off ratio must be finite, got {ratio}")
+    return ratio
 
 
 def switching_energy(budget: EnergyBudget) -> float:

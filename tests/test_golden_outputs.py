@@ -80,13 +80,13 @@ GOLDEN = {
     ("stark", "stdout"):
         "d1c68ed7dda5ebad98677b918e0fcf8fc35f9b5cfef7c03058bdd959232e0227",
     ("switch", "manifest.txt"):
-        "9bbf0ef90e1a01d0d214c05df7533fe7733a8f0b8c4989e544dbf0dc7733e1ea",
+        "c7384aaab5b7f7cd31394e3f46ead1d3acda11a84a06ca02a1398951c325e9a8",
     ("switch", "stdout"):
         "2ef97b8c887e91e7725991efb62045dde5fcc07b73052938ff4afdc059efbfa1",
     ("switch", "switch_summary.csv"):
         "9cf971efa3ed414b17b20e8e4b34e8a2fe478583c9c2b699549bdc042051f319",
     ("switch", "switch_trace.csv"):
-        "ce312df60c973001e91d125c64fab65e0367fbb539cab012385c77594a959f9f",
+        "47e928dbbd2e5355b3d77c14bbfcc06d31b334c4e400704d351d86a68b4404dd",
     ("switch_long", "manifest.txt"):
         "0d92133baa0fd62d8447c103c365a712fd967d33c06b92e66e0ee9585e18858a",
     ("switch_long", "stdout"):
@@ -96,13 +96,13 @@ GOLDEN = {
     ("switch_long", "switch_trace.csv"):
         "716456759bb8d5e26a567a8711c48e13cf707fa182064a7f39b91b506c46430d",
     ("switch_uncalibrated", "manifest.txt"):
-        "135c6c2ee4905a80b737aa2de74af0d692ada36ad425f5bd93ed8792e41273e8",
+        "b4b15766bbbc85788ab6acb319860c55a2774c39d3077c9f028b83dc13346c23",
     ("switch_uncalibrated", "stdout"):
-        "d6cbefdf0bc70e94fe859f9ea147af5567688942d56d6195583689dc13ff9fba",
+        "ba3deafff4009f2f6fdc1ee85a7b9bcbf4bddb331394006bc657bce88b7481d2",
     ("switch_uncalibrated", "switch_summary.csv"):
-        "b9fbaa751fda9ddf118ee34d924f3d98bf6b69f953f996ca9602796bd22a37ce",
+        "c0856147f0b05afa22e67c78b7845f901a7d40f06000d6b6d6ced135dae7c4c2",
     ("switch_uncalibrated", "switch_trace.csv"):
-        "9133159ba9d09bd8bfc121984598dae5dd17bd14239b00737cdff84da3774ff3",
+        "95dac7d5f5d88c674e60e4c5652a5a62f1564b8fd75fd1d385ca6c794c8de213",
 }
 
 # run -> (command line after "qdswitch", config overlay text or None)

@@ -400,8 +400,9 @@ def test_write_csv_takes_rows_or_columns(tmp_path):
 
 
 def test_cli_switch_peak_memory_stays_near_the_trace(tmp_path):
-    # The command writes the trace's two columns as they are, and neither the
-    # CSV writer nor the manifest hash holds more than a chunk or a block.
+    # The model runs on one cycle, the command writes the trace's two columns as
+    # they are, and neither the CSV writer nor the manifest hash holds more
+    # than a chunk or a block.
     cfg = tmp_path / "long.cfg"
     cfg.write_text("cycles = 30\nsamples_per_cycle = 4096\n", encoding="utf-8")
     argv = ["switch", "--preset", "paper", "--config", str(cfg), "--out", str(tmp_path / "o")]
@@ -574,6 +575,42 @@ def test_cli_switch_preset_matches_reported_ratio(tmp_path):
     trace_lines = (out / "switch_trace.csv").read_text().splitlines()
     assert trace_lines[0] == "time_ns,intensity"
     assert len(trace_lines) > 1000
+
+
+def _switch_ratio(tmp_path, name, overlay):
+    """The manifest's on/off ratio text of a paper-preset switch run."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(overlay, encoding="utf-8")
+    out = tmp_path / name
+    assert run_cli("switch", "--preset", "paper", "--config", str(cfg), "--out", str(out)) == 0
+    return read_manifest(out / "manifest.txt")["summary.on_off_ratio"]
+
+
+def test_cli_switch_ratio_on_a_slow_line_does_not_depend_on_cycles(tmp_path):
+    # A 5 MHz line settles over many 150 MHz cycles.  Dropping the first third
+    # of the cycles as transient read 1.0, 1.0036 and 1.0102980501651808 here.
+    ratios = {_switch_ratio(tmp_path, f"c{cycles}", f"rc_cutoff_mhz = 5\ncycles = {cycles}\n")
+              for cycles in (3, 9, 300)}
+    assert len(ratios) == 1
+    assert float(ratios.pop()) == pytest.approx(1.0102980501651808, rel=1e-9)
+
+
+def test_cli_switch_on_a_line_too_slow_to_move_is_flat(tmp_path):
+    # tau overflows to inf: the line stays at v_low, so the intensity is constant.
+    assert _switch_ratio(tmp_path, "still", "rc_cutoff_mhz = 1e-310\n") == "1.0"
+
+
+def test_cli_switch_rejects_an_infinite_on_off_ratio(tmp_path, capsys):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("contrast_targets =\ngamma_ghz = 1e-160\namplitude = 1e300\n",
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("switch", "--preset", "paper", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "DegenerateTraceError"
+    assert record["message"] == "on/off ratio must be finite, got inf"
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_cli_spectrum_and_metrics(tmp_path):
@@ -882,6 +919,28 @@ def test_cli_rejects_bad_coupling_anchors_at_any_bias(tmp_path, capsys, volts, c
     assert record["error_class"] == "ConfigError"
     assert record["message"].endswith(f"(config key {key})")
     assert not (out / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("g_anchor_v = 5, 3\n",
+     "g_anchor_v must be strictly increasing, got 3.0 (config key g_anchor_v)"),
+    ("g_anchor_v = 0, 7\ng_anchor_ghz = 20, -1\n",
+     "g_anchor_ghz must be in [0, 1.43056e+307], got -1.0 (config key g_anchor_ghz)"),
+    ("g_anchor_v = 0, 7, 9\ng_anchor_ghz = 20, 10\n",
+     "g_anchor_ghz must give one coupling per g_anchor_v voltage, got 2 for 3 "
+     "(config key g_anchor_ghz)"),
+    ("contrast_targets = 10:1.5\n",
+     "contrast_targets voltages must be 1-D with >= 2 values, got shape (1,) "
+     "(config key contrast_targets)"),
+    ("contrast_targets = 10:1.5, 14:0.5\n",
+     "contrast_targets ratios must be >= 1, got 0.5 (config key contrast_targets)"),
+], ids=["anchor-order", "anchor-range", "anchor-count", "one-target", "target-ratio"])
+def test_config_list_key_names_its_first_bad_value(tmp_path, text, message):
+    cfg = tmp_path / "lists.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value) == message
 
 
 def test_config_anchors_and_free_set_come_out_parsed(tmp_path):
