@@ -5,20 +5,21 @@ header row.  Floats are written as repr(float(v)), Python's shortest
 round-trip representation, so emit-then-ingest recovers values exactly;
 output is byte-identical across reruns of the same configuration.
 
-Float columns (a 2-D float array, columns=, or a chunk of rows whose
-every value is a float or np.float64) are formatted with no Python
-string per value, by floattext's exact-integer kernel: for
-1e-4 <= |v| < 2**52 it finds repr's shortest digits for a whole array at
-once, with Ryu's method (Adams, PLDI 2018), scaling each value by a
-power of ten and bounding its rounding interval by 64-bit integers; any
-other value (+-0.0, subnormals, |v| < 1e-4 or >= 2**52, inf, nan) keeps
-repr's own text.  Either way the bytes equal repr(float(v)).
+Float columns (a 2-D float array, or columns=) and a chunk of rows whose
+every value is a float or np.float64 are formatted with no Python
+string per value, by floattext's exact-integer kernel: such a row chunk
+is read row-major into one array and formatted by one kernel call.
+For 1e-4 <= |v| < 2**52 the kernel finds repr's shortest digits for a
+whole array at once, with Ryu's method (Adams, PLDI 2018), scaling each
+value by a power of ten and bounding its rounding interval by 64-bit
+integers; any other value (+-0.0, subnormals, |v| < 1e-4 or >= 2**52,
+inf, nan) keeps repr's own text.  Either way the bytes equal repr(float(v)).
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -63,8 +64,9 @@ def write_csv(path: Path | str, header: Sequence[str],
     memory is a chunk of text plus, per repetitive column, its distinct
     values.  A row of the wrong width, or columns or an array of the wrong
     shape, raises and leaves no file.  A chunk of rows whose every value is
-    a float or np.float64 goes through the same float path; any other
-    chunk has each column's formatter picked once from the types it holds."""
+    a float or np.float64 is read row-major into one array, formatted by
+    one float_text call and packed the same way; any other chunk has each
+    column's formatter picked once from the types it holds."""
     if not header:
         raise DomainError("CSV header must not be empty")
     path = Path(path)
@@ -98,33 +100,46 @@ def write_csv(path: Path | str, header: Sequence[str],
 
 def _write_rows(f, rows, width: int) -> None:
     while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
-        if any(len(row) != width for row in chunk):
+        if set(map(len, chunk)) != {width}:
             raise DomainError("CSV row width differs from header")
-        columns = list(zip(*chunk))
-        floats = [set(map(type, column)) <= _REPR_TYPES for column in columns]
-        if all(floats):
-            _write_float_columns(f, [np.fromiter(column, np.float64, len(column))
-                                     for column in columns])
+        if set(map(type, chain.from_iterable(chunk))) <= _REPR_TYPES:
+            _write_float_rows(f, chunk, width)
         else:
-            cells = [list(map(float.__repr__ if is_float else format_value, column))
-                     for column, is_float in zip(columns, floats)]
+            cells = [list(map(float.__repr__ if set(map(type, column)) <= _REPR_TYPES
+                              else format_value, column))
+                     for column in zip(*chunk)]
             f.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
 
 
+def _write_float_rows(f, chunk: list, width: int) -> None:
+    """A chunk of all-float rows, read row-major into one array and
+    formatted by one float_text call; _pack takes its text as one
+    (rows, TEXT_BYTES) view per column."""
+    from .floattext import TEXT_BYTES, float_text
+
+    values = np.fromiter(chain.from_iterable(chunk), np.float64, len(chunk) * width)
+    text = float_text(values).reshape(len(chunk), width, TEXT_BYTES)
+    _pack(f, text.swapaxes(0, 1))
+
+
 def _write_float_columns(f, columns: list[np.ndarray]) -> None:
-    """Each chunk as one buffer: its texts, each followed by a comma or a
-    newline byte, in a row matrix whose zero bytes are dropped."""
     texts = [_column_text(column) for column in columns]
     for start in range(0, columns[0].size, WRITE_CHUNK_ROWS):
-        fields = [text(start, start + WRITE_CHUNK_ROWS) for text in texts]
-        rows, width = fields[0].shape
-        line = np.empty((rows, len(fields), width + 1), dtype=np.uint8)
-        for k, field in enumerate(fields):
-            line[:, k, :-1] = field
-        line[:, :, -1] = ord(",")
-        line[:, -1, -1] = ord("\n")
-        line = line.ravel()
-        f.write(line[line != 0])
+        _pack(f, [text(start, start + WRITE_CHUNK_ROWS) for text in texts])
+
+
+def _pack(f, fields) -> None:
+    """Write a chunk as one buffer; fields[k] is column k's (rows, TEXT_BYTES)
+    text.  Each text is followed by a comma or a newline byte, in a row
+    matrix whose zero bytes are dropped."""
+    rows, size = fields[0].shape
+    line = np.empty((rows, len(fields), size + 1), dtype=np.uint8)
+    for k, field in enumerate(fields):
+        line[:, k, :-1] = field
+    line[:, :, -1] = ord(",")
+    line[:, -1, -1] = ord("\n")
+    line = line.ravel()
+    f.write(line[line != 0])
 
 
 def _column_text(column: np.ndarray):

@@ -91,6 +91,16 @@ class DriveSpec:
         check_domains(self)
         if not self.v_high >= self.v_low:
             raise DomainError("v_high must be >= v_low", field="v_high")
+        # Finite values whose derived times overflow: tau_ns 0, or an inf trace span.
+        if math.isinf(2.0 * math.pi * self.rc_cutoff_mhz):
+            raise DomainError(f"rc_cutoff must have a finite 2 pi f_c, "
+                              f"got {self.rc_cutoff_mhz}", field="rc_cutoff_mhz")
+        if math.isinf(self.period_ns):
+            raise DomainError(f"drive_frequency must give a finite period, "
+                              f"got {self.frequency_mhz}", field="frequency_mhz")
+        if math.isinf(self.cycles * self.period_ns):
+            raise DomainError(f"cycles must give a finite trace span, got {self.cycles}",
+                              field="cycles")
 
     @property
     def period_ns(self) -> float:

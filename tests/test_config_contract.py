@@ -153,8 +153,8 @@ _BAD = {
     StarkCoefficients: {"dipole_mev_um_per_v": [math.nan, math.inf],
                         "polarizability_mev_um2_per_v2": [math.nan, -math.inf]},
     DriveSpec: {"v_low": [-1.0, math.nan, math.inf], "v_high": [-1.0, math.nan],
-                "frequency_mhz": [0.0, math.nan], "duty": [0.0, 1.0, math.nan],
-                "rc_cutoff_mhz": [0.0, math.inf], "cycles": [2, 3.5],
+                "frequency_mhz": [0.0, math.nan, 1e-310], "duty": [0.0, 1.0, math.nan],
+                "rc_cutoff_mhz": [0.0, math.inf, 1e308], "cycles": [2, 3.5, 10 ** 308],
                 "samples_per_cycle": [63, 64.5]},
     # The mode offsets are unconstrained.
     CqedParams: {"coupling": [-1.0], "cavity_decay": [0.0, math.nan],
@@ -191,6 +191,22 @@ def test_cli_overflowing_angular_value_exits_1_naming_its_key(tmp_path, capsys, 
     out = tmp_path / "o"
     code = main([command, "--preset", "paper", "--config",
                  str(_override(tmp_path, key, "1e308")), "--out", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error_class"] == "ConfigError"
+    assert record["message"].endswith(f"(config key {key})")
+    assert not list(out.glob("*.csv"))
+
+
+# Finite drive values whose derived times overflow: tau_ns 0, or an inf trace span.
+@pytest.mark.parametrize("key, text", [("rc_cutoff_mhz", "1e308"), ("rc_cutoff_mhz", "3e307"),
+                                       ("drive_mhz", "1e-310"),
+                                       pytest.param("cycles", "1" + "0" * 308, id="cycles-1e308")])
+def test_cli_switch_overflowing_drive_time_exits_1_naming_its_key(tmp_path, capsys, key,
+                                                                  text):
+    out = tmp_path / "o"
+    code = main(["switch", "--preset", "paper", "--config",
+                 str(_override(tmp_path, key, text)), "--out", str(out)])
     assert code == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error_class"] == "ConfigError"

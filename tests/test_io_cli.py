@@ -313,12 +313,12 @@ def test_write_csv_rows_change_route_between_chunks(tmp_path, monkeypatch):
     rows = [(a, b > 0.0) if WRITE_CHUNK_ROWS <= i < 2 * WRITE_CHUNK_ROWS else (a, b)
             for i, (a, b) in enumerate(rows)]
     float_chunks = []
-    write_float_columns = csvio._write_float_columns
+    write_float_rows = csvio._write_float_rows
 
-    def spy(f, chunk_columns):
-        float_chunks.append(chunk_columns[0].size)
-        write_float_columns(f, chunk_columns)
-    monkeypatch.setattr(csvio, "_write_float_columns", spy)
+    def spy(f, chunk, width):
+        float_chunks.append(len(chunk))
+        write_float_rows(f, chunk, width)
+    monkeypatch.setattr(csvio, "_write_float_rows", spy)
     path = write_csv(tmp_path / "t.csv", ["a", "b"], iter(rows))
     assert float_chunks == [WRITE_CHUNK_ROWS, 37]
     assert path.read_bytes() == _formatted(["a", "b"], rows)
@@ -329,6 +329,54 @@ def test_write_csv_all_float_rows_bad_width_in_second_chunk_leaves_no_file(tmp_p
     rows[WRITE_CHUNK_ROWS + 5] = rows[WRITE_CHUNK_ROWS + 5] * 2
     with pytest.raises(DomainError, match="width"):
         write_csv(tmp_path / "bad.csv", ["a", "b"], iter(rows))
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def _edge_float_table(n, width):
+    """An n-row table of width columns across many magnitudes with EDGE_FLOATS
+    sprinkled in: its columns, and its rows, whose values alternate between
+    float and np.float64."""
+    rng = np.random.default_rng(width * n)
+    columns = rng.standard_normal((width, n)) * 10.0 ** rng.integers(-320, 300, (width, n))
+    edge = rng.random((width, n)) < 0.1
+    columns[edge] = rng.choice(EDGE_FLOATS, int(edge.sum()))
+    rows = [tuple(np.float64(v) if (i + k) % 2 else v for k, v in enumerate(row))
+            for i, row in enumerate(columns.T.tolist())]
+    return list(columns), rows
+
+
+@pytest.mark.parametrize("n", [1, WRITE_CHUNK_ROWS - 1, WRITE_CHUNK_ROWS,
+                               WRITE_CHUNK_ROWS + 1, 2 * WRITE_CHUNK_ROWS + 37])
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_write_csv_all_float_rows_of_any_width_take_one_kernel_call_per_chunk(
+        tmp_path, monkeypatch, width, n):
+    from qdswitch import floattext
+    columns, rows = _edge_float_table(n, width)
+    header = [f"c{k}" for k in range(width)]
+    sizes = []
+    float_text = floattext.float_text
+
+    def spy(values):
+        sizes.append(values.size)
+        return float_text(values)
+    monkeypatch.setattr(floattext, "float_text", spy)
+    by_rows = write_csv(tmp_path / "rows.csv", header, iter(rows))
+    assert sizes == [width * min(WRITE_CHUNK_ROWS, n - start)
+                     for start in range(0, n, WRITE_CHUNK_ROWS)]
+    monkeypatch.undo()
+    by_columns = write_csv(tmp_path / "columns.csv", header, columns=columns)
+    assert by_rows.read_bytes() == by_columns.read_bytes() == _formatted(header, rows)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_write_csv_all_float_row_of_wrong_width_inside_a_chunk_leaves_no_file(
+        tmp_path, width, extra):
+    _, rows = _edge_float_table(WRITE_CHUNK_ROWS + 37, width)
+    row = rows[WRITE_CHUNK_ROWS // 2]
+    rows[WRITE_CHUNK_ROWS // 2] = row[:extra] if extra < 0 else row + (1.0,)
+    with pytest.raises(DomainError, match="width"):
+        write_csv(tmp_path / "bad.csv", [f"c{k}" for k in range(width)], iter(rows))
     assert not (tmp_path / "bad.csv").exists()
 
 
