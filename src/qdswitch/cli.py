@@ -42,7 +42,7 @@ from .electrostatics import (
     stark_shift,
     voltage_to_detuning,
 )
-from .errors import ConfigError, DomainError, IngestError, QdSwitchError
+from .errors import ConfigError, IngestError, QdSwitchError, check_array
 from .manifest import write_manifest
 
 EXIT_OK = 0
@@ -110,10 +110,8 @@ def _require_finite(kind: str, rows) -> None:
     """Raise DomainError naming the first (name, value, ...) row whose float
     value or float array holds a NaN or inf, so none reaches a CSV."""
     for name, value, *_ in rows:
-        values = np.asarray(value)
-        if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
-            bad = values[~np.isfinite(values)].flat[0]
-            raise DomainError(f"{kind} {name} is not finite: {float(bad)!r}")
+        if np.asarray(value).dtype.kind == "f":
+            check_array(f"{kind} {name}", value, (("finite",),))
 
 
 # ---------------------------------------------------------------------------

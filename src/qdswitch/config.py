@@ -5,7 +5,8 @@ A config file is UTF-8 text, one ``key = value`` assignment per line,
 rejected.  Every key has a documented default, so an empty file is a
 valid configuration.  Frequencies given in config files are ordinary
 (nu = omega / 2 pi) GHz or MHz; the library converts to angular rates
-internally.
+internally.  A bad value raises DomainError with field set to its key;
+parse_config turns it into ConfigError("<message> (config key <key>)").
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .constants import TWO_PI
-from .cqed import CqedParams, OpticalFrame, kappa_from_q
+from .cqed import COUPLING_MAX, CqedParams, OpticalFrame, kappa_from_q
 from .electrostatics import DriveSpec, ElectrostaticParams, StarkCoefficients
 from .errors import ConfigError, DomainError, check_array, check_value
 
@@ -61,8 +62,8 @@ def _parse_targets(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-# Largest ordinary-GHz magnitude of a grid end, probe detuning or coupling
-# anchor: both angular ends (x 2 pi) and the span between them stay finite.
+# Largest ordinary-GHz magnitude of a grid end or probe detuning: both
+# angular ends (x 2 pi) and the span between them stay finite.
 _ANGULAR_LIMIT = sys.float_info.max / (2.0 * TWO_PI)
 _ANGULAR_RANGE = ("[]", (-_ANGULAR_LIMIT, _ANGULAR_LIMIT))
 
@@ -135,13 +136,13 @@ class RunConfig:
     def _build(self, cls, **keys):
         """Construct a validated domain object; each field names its config
         key, or gives (key, value) for a value computed from the file.  A
-        DomainError is re-raised naming the key of its field."""
+        DomainError is re-raised with its field set to that config key."""
         pairs = {name: (key, self[key]) if isinstance(key, str) else key
                  for name, key in keys.items()}
         try:
             return cls(**{name: value for name, (_, value) in pairs.items()})
         except DomainError as exc:
-            raise ConfigError(f"{exc} (config key {pairs[exc.field][0]})") from exc
+            raise DomainError(str(exc), field=pairs[exc.field][0]) from exc
 
     def electrostatic_params(self) -> ElectrostaticParams:
         return self._build(ElectrostaticParams, donor_density_cm3="nd_cm3",
@@ -183,17 +184,18 @@ class RunConfig:
         gs = self["g_anchor_ghz"]
         if not volts and not gs:
             return None
-        _check_list("g_anchor_v", volts, ("increasing",))
-        _check_list("g_anchor_ghz", gs, (2, ("[]", (0.0, _ANGULAR_LIMIT))))
+        check_array("g_anchor_v", volts, ("increasing",), field="g_anchor_v")
+        check_array("g_anchor_ghz", gs, (2, ("[]", (0.0, COUPLING_MAX / TWO_PI))),
+                    field="g_anchor_ghz")
         if len(gs) != len(volts):
-            raise ConfigError(f"g_anchor_ghz must give one coupling per g_anchor_v voltage, "
-                              f"got {len(gs)} for {len(volts)} (config key g_anchor_ghz)")
+            raise DomainError(f"g_anchor_ghz must give one coupling per g_anchor_v voltage, "
+                              f"got {len(gs)} for {len(volts)}", field="g_anchor_ghz")
         return tuple((v, TWO_PI * g) for v, g in zip(volts, gs))
 
     def voltage_grid(self) -> np.ndarray:
         start, stop, step = self["v_start"], self["v_stop"], self["v_step"]
         if stop < start:
-            raise ConfigError(f"v_stop must be >= v_start, got {stop} (config key v_stop)")
+            raise DomainError(f"v_stop must be >= v_start, got {stop}", field="v_stop")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return start + step * np.arange(n)
 
@@ -202,8 +204,8 @@ class RunConfig:
         start, stop, points = (self["detuning_start_ghz"], self["detuning_stop_ghz"],
                                self["detuning_points"])
         if stop <= start:
-            raise ConfigError(f"detuning_stop must be > detuning_start, got {stop} "
-                              "(config key detuning_stop_ghz)")
+            raise DomainError(f"detuning_stop must be > detuning_start, got {stop}",
+                              field="detuning_stop_ghz")
         return TWO_PI * np.linspace(start, stop, points)
 
     def screening(self) -> float:
@@ -214,17 +216,9 @@ class RunConfig:
         names = [name.strip() for name in self["fit_free"].split(",") if name.strip()]
         known = [f.name for f in fields(CqedParams)]
         if not names or not set(names) <= set(known):
-            raise ConfigError(f"fit_free must list some of {', '.join(known)}, "
-                              f"got '{self['fit_free']}' (config key fit_free)")
+            raise DomainError(f"fit_free must list some of {', '.join(known)}, "
+                              f"got '{self['fit_free']}'", field="fit_free")
         return names
-
-
-def _check_list(label: str, values, rules, key: str | None = None) -> None:
-    """check_array on a list key's values, naming the key (label by default) on failure."""
-    try:
-        check_array(label, values, rules)
-    except DomainError as exc:
-        raise ConfigError(f"{exc} (config key {key or label})") from exc
 
 
 def parse_assignments(text: str, origin: str) -> dict[str, Any]:
@@ -255,7 +249,8 @@ def parse_assignments(text: str, origin: str) -> dict[str, Any]:
 
 def parse_config(*paths: Path | str) -> RunConfig:
     """Load one or more config files over the defaults, later files
-    overriding earlier ones, and validate the result."""
+    overriding earlier ones, and validate the result.  A bad value raises
+    ConfigError("<message> (config key <key>)")."""
     values = {key: spec[1] for key, spec in _KEYS.items()}
     for path in paths:
         p = Path(path)
@@ -263,13 +258,16 @@ def parse_config(*paths: Path | str) -> RunConfig:
             raise ConfigError(f"config file not found: {p}")
         values.update(parse_assignments(p.read_text(encoding="utf-8"), str(p)))
     cfg = RunConfig(values=values)
-    _validate(cfg)
+    try:
+        _validate(cfg)
+    except DomainError as exc:
+        raise ConfigError(f"{exc} (config key {exc.field})") from exc
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Build every domain object once so bad values fail at parse time
-    with the offending key in the message."""
+    """Build every domain object once so bad values fail at parse time,
+    raising DomainError with field set to the offending key."""
     cfg.electrostatic_params()
     cfg.stark_coefficients()
     cfg.optical_frame()
@@ -281,7 +279,8 @@ def _validate(cfg: RunConfig) -> None:
     cfg.fit_free()
     if cfg["contrast_targets"]:
         volts, ratios = zip(*cfg["contrast_targets"])
-        _check_list("contrast_targets voltages", volts, (2, (">=", 0.0)), "contrast_targets")
-        _check_list("contrast_targets ratios", ratios, ((">=", 1.0),), "contrast_targets")
+        check_array("contrast_targets voltages", volts, (2, (">=", 0.0)),
+                    field="contrast_targets")
+        check_array("contrast_targets ratios", ratios, ((">=", 1.0),), field="contrast_targets")
     if abs(cfg["field_sign"]) != 1.0:
-        raise ConfigError("field_sign must be +1 or -1 (config key field_sign)")
+        raise DomainError("field_sign must be +1 or -1", field="field_sign")

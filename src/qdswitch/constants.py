@@ -15,8 +15,6 @@ VACUUM_PERMITTIVITY_F_M = 8.8541878128e-12
 
 TWO_PI = 2.0 * math.pi  # angular <-> ordinary frequency
 
-HBAR_J_S = PLANCK_J_S / TWO_PI
-
 # Same constants in the package working units
 VACUUM_PERMITTIVITY_F_UM = VACUUM_PERMITTIVITY_F_M * 1e-6   # F/um
 SPEED_OF_LIGHT_NM_NS = SPEED_OF_LIGHT_M_S * 1e9 * 1e-9      # nm/ns; c/lambda[nm] is in GHz
@@ -26,6 +24,5 @@ UM3_PER_CM3 = 1e12
 # quoted to a fixed number of digits.
 GHZ_PER_MEV = 1e-3 * ELEMENTARY_CHARGE_C / PLANCK_J_S / 1e9     # ~241.799 GHz per meV
 ANGULAR_GHZ_PER_MEV = TWO_PI * GHZ_PER_MEV                      # rad/ns per meV
-HC_EV_NM = PLANCK_J_S * SPEED_OF_LIGHT_M_S / ELEMENTARY_CHARGE_C * 1e9  # ~1239.84198 eV*nm
 
 JOULE_PER_FJ = 1e-15

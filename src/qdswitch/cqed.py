@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -23,6 +24,9 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT_NM_NS
 from .errors import DomainError, check_array, check_domains, domain
+
+# Largest coupling whose square is finite; the next float up overflows g ** 2.
+COUPLING_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class CqedParams:
 
     cavity_freq: float = domain("finite")
     dot_freq: float = domain("finite")
-    coupling: float = domain(">=", 0.0)
+    coupling: float = domain("[]", (0.0, COUPLING_MAX))
     cavity_decay: float = domain(">", 0.0)
     dot_decay: float = domain(">", 0.0)
     amplitude: float = domain(">", 0.0, default=1.0)

@@ -3,8 +3,9 @@
 Each scalar's domain is declared once, on a dataclass field with domain()
 or as a config key's third element.  check_value tests a float kind for
 finiteness first, then its bound, and raises DomainError("duty must be in
-(0, 1), got 1.0", field=...).  A config file's message adds "<file>:<line>: "
-before that and " (config key <key>)" after it.
+(0, 1), got 1.0", field=...).  config.parse_config names the key: it adds
+" (config key <key>)" after the message, and "<file>:<line>: " before it for
+a key checked as its line is read.
 
 An array's rules, in domain("array", rules) or check_array, run in order:
 an int n (1-D, n values or more), a scalar (kind, bound) for every value,

@@ -221,9 +221,7 @@ def _pack(params: CqedParams, free: Sequence[str]) -> np.ndarray:
     for name in free:
         value = getattr(params, name)
         if name in _LOG_SCALE_PARAMS:
-            if not value > 0.0:
-                raise DomainError(f"{name} must be > 0 to fit on a log scale")
-            vals.append(math.log(value))
+            vals.append(math.log(check_value(name, value, ">", 0.0)))
         else:
             vals.append(value)
     return np.array(vals)

@@ -10,7 +10,9 @@ detuning_start_ghz above detuning_stop_ghz) are left out.
 
 import json
 import math
+import sys
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from qdswitch import (
 )
 from qdswitch.cli import _preset_path, main
 from qdswitch.config import _KEYS, _parse_float, _parse_float_list, parse_config
+from qdswitch.constants import TWO_PI
+from qdswitch.cqed import COUPLING_MAX
 
 FLOAT_KEYS = [key for key, spec in _KEYS.items()
               if spec[0] in (_parse_float, _parse_float_list)]
@@ -153,11 +157,14 @@ _BAD = {
     StarkCoefficients: {"dipole_mev_um_per_v": [math.nan, math.inf],
                         "polarizability_mev_um2_per_v2": [math.nan, -math.inf]},
     DriveSpec: {"v_low": [-1.0, math.nan, math.inf], "v_high": [-1.0, math.nan],
-                "frequency_mhz": [0.0, math.nan, 1e-310], "duty": [0.0, 1.0, math.nan],
-                "rc_cutoff_mhz": [0.0, math.inf, 1e308], "cycles": [2, 3.5, 10 ** 308],
+                "frequency_mhz": [0.0, math.nan, 1e-310, 1e3 / sys.float_info.max],
+                "duty": [0.0, 1.0, math.nan],
+                "rc_cutoff_mhz": [0.0, math.inf, 1e308, sys.float_info.max / TWO_PI],
+                "cycles": [2, 3.5, 10 ** 308],
                 "samples_per_cycle": [63, 64.5]},
     # The mode offsets are unconstrained.
-    CqedParams: {"coupling": [-1.0], "cavity_decay": [0.0, math.nan],
+    CqedParams: {"coupling": [-1.0, math.nextafter(COUPLING_MAX, math.inf)],
+                 "cavity_decay": [0.0, math.nan],
                  "dot_decay": [0.0, math.nan], "amplitude": [0.0, math.nan],
                  "background": [-1.0]},
     OpticalFrame: {"reference_wavelength_nm": [0.0, math.nan],
@@ -181,16 +188,47 @@ def test_bad_value_table_covers_every_checked_field():
         assert set(table) | unchecked == {f.name for f in fields(cls)}
 
 
-# Finite config values whose angular form (x 2 pi) overflows to inf.
+def test_extreme_accepted_values_keep_derived_quantities_finite():
+    low_drive = math.nextafter(1e3 / sys.float_info.max, math.inf)
+    high_cutoff = math.nextafter(sys.float_info.max / TWO_PI, -math.inf)
+    assert DriveSpec(**{**_VALID[DriveSpec], "rc_cutoff_mhz": high_cutoff}).tau_ns > 0.0
+    # Any cycles >= 3 times that period overflows, so only the span check,
+    # which compares two fields, rejects the lowest drive frequency.
+    with pytest.raises(DomainError) as info:
+        DriveSpec(**{**_VALID[DriveSpec], "frequency_mhz": low_drive})
+    assert info.value.field == "cycles"
+    assert math.isfinite(DriveSpec.period_ns.fget(SimpleNamespace(frequency_mhz=low_drive)))
+    cqed = CqedParams(**{**_VALID[CqedParams], "coupling": COUPLING_MAX})
+    assert math.isfinite(cqed.coupling ** 2)
+
+
+def test_largest_ordinary_coupling_stays_in_the_angular_domain(tmp_path):
+    # g_ghz and g_anchor_ghz at their bound both convert (x 2 pi) to a coupling
+    # CqedParams accepts.
+    largest = COUPLING_MAX / TWO_PI
+    assert TWO_PI * largest <= COUPLING_MAX
+    path = tmp_path / "edge.cfg"
+    path.write_text(f"g_ghz = {largest!r}\ng_anchor_v = 0, 5\ng_anchor_ghz = 20, {largest!r}\n",
+                    encoding="utf-8")
+    cfg = parse_config(_preset_path("paper"), path)
+    assert cfg.cqed_params().coupling == TWO_PI * largest
+    assert cfg.g_anchors()[1] == (5.0, cfg.cqed_params().coupling)
+
+
+# Finite config values whose angular form (x 2 pi) overflows to inf, and a
+# coupling whose angular form is finite but whose square overflows.
 @pytest.mark.parametrize("command", ["spectrum", "metrics", "switch"])
-@pytest.mark.parametrize("key", ["g_ghz", "cavity_offset_ghz", "dot_offset_ghz",
-                                 "kappa_ghz", "gamma_ghz", "probe_detuning_ghz",
-                                 "detuning_start_ghz", "detuning_stop_ghz"])
+@pytest.mark.parametrize("key, text", [
+    *(pytest.param(key, "1e308", id=key)
+      for key in ["g_ghz", "cavity_offset_ghz", "dot_offset_ghz", "kappa_ghz", "gamma_ghz",
+                  "probe_detuning_ghz", "detuning_start_ghz", "detuning_stop_ghz"]),
+    pytest.param("g_ghz", "1e200", id="g_ghz-1e200"),
+])
 def test_cli_overflowing_angular_value_exits_1_naming_its_key(tmp_path, capsys, command,
-                                                              key):
+                                                              key, text):
     out = tmp_path / "o"
     code = main([command, "--preset", "paper", "--config",
-                 str(_override(tmp_path, key, "1e308")), "--out", str(out)])
+                 str(_override(tmp_path, key, text)), "--out", str(out)])
     assert code == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error_class"] == "ConfigError"

@@ -62,7 +62,7 @@ CLI_FAILURES = {
     "zero coupling on a log scale": (
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv", "--config", "{tmp}/c.cfg"],
         {"d.csv": SPECTRUM_TEXT, "c.cfg": "g_ghz = 0\n"},
-        2, "DomainError", "coupling must be > 0 to fit on a log scale"),
+        2, "DomainError", "coupling must be > 0, got 0.0"),
 }
 
 

@@ -884,7 +884,7 @@ def test_cli_stark_rejects_a_non_finite_column(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error_class"] == "DomainError"
-    assert "column x_d_um is not finite" in record["message"]
+    assert "column x_d_um must be finite, got " in record["message"]
     assert not (out / "stark.csv").exists()
     assert not (out / "manifest.txt").exists()
 
@@ -901,7 +901,7 @@ def test_cli_fit_contrast_rejects_a_non_finite_residual(tmp_path, capsys, overri
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error_class"] == "DomainError"
-    assert "parameter residual_norm is not finite" in record["message"]
+    assert "parameter residual_norm must be finite, got " in record["message"]
     assert not (out / "fit_report.csv").exists()
 
 
@@ -918,7 +918,7 @@ def test_cli_switch_rejects_a_non_finite_calibration_residual(tmp_path, capsys, 
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error_class"] == "DomainError"
-    assert "calibration residual_norm is not finite" in record["message"]
+    assert "calibration residual_norm must be finite, got " in record["message"]
     assert not list(out.glob("*.csv"))
 
 
@@ -948,18 +948,21 @@ def test_cli_unknown_preset_is_a_config_error(tmp_path, capsys):
     assert "unknown preset 'no_such_preset'" in record["message"]
 
 
+@pytest.mark.parametrize("bias", ["0", "3"])
 @pytest.mark.parametrize("volts, couplings, key", [
     ("5, 3", "20, 10", "g_anchor_v"),
     ("0, 7", "20, -1", "g_anchor_ghz"),
     ("0, 7, 9", "20, 10", "g_anchor_ghz"),
     ("7", "20", "g_anchor_ghz"),
     ("0, 5", "20, 1e308", "g_anchor_ghz"),
+    ("0, 5", "20, 1e200", "g_anchor_ghz"),  # interpolated g ** 2 would overflow
 ])
 def test_cli_rejects_bad_coupling_anchors_at_any_bias(tmp_path, capsys, volts, couplings,
-                                                      key):
+                                                      key, bias):
     # bias_v = 0 never interpolates the anchors; they are checked anyway.
     cfg = tmp_path / "anchors.cfg"
-    cfg.write_text(f"g_anchor_v = {volts}\ng_anchor_ghz = {couplings}\n", encoding="utf-8")
+    cfg.write_text(f"g_anchor_v = {volts}\ng_anchor_ghz = {couplings}\nbias_v = {bias}\n",
+                   encoding="utf-8")
     out = tmp_path / "o"
     code = run_cli("spectrum", "--preset", "paper", "--config", str(cfg), "--out", str(out))
     assert code == 1
@@ -973,7 +976,7 @@ def test_cli_rejects_bad_coupling_anchors_at_any_bias(tmp_path, capsys, volts, c
     ("g_anchor_v = 5, 3\n",
      "g_anchor_v must be strictly increasing, got 3.0 (config key g_anchor_v)"),
     ("g_anchor_v = 0, 7\ng_anchor_ghz = 20, -1\n",
-     "g_anchor_ghz must be in [0, 1.43056e+307], got -1.0 (config key g_anchor_ghz)"),
+     "g_anchor_ghz must be in [0, 2.13392e+153], got -1.0 (config key g_anchor_ghz)"),
     ("g_anchor_v = 0, 7, 9\ng_anchor_ghz = 20, 10\n",
      "g_anchor_ghz must give one coupling per g_anchor_v voltage, got 2 for 3 "
      "(config key g_anchor_ghz)"),
