@@ -2,11 +2,11 @@
 
 Subcommands: spectrum | stark | switch | fit | metrics.  Each run reads
 a preset and/or config file and writes plot-ready CSV files into --out.
-A command only computes and writes its CSVs; main ends every run.  On
-success it writes the reproducibility manifest, which lists every CSV
-the run wrote, then prints a short summary to stdout and exits 0.
-Failures exit nonzero (1 config, 2 numeric, 3 I/O) with a one-line JSON
-error record on stderr and print nothing to stdout.
+A command only computes and returns its tables; main writes them, with
+the reproducibility manifest that lists them, through one sink, then
+prints a short summary to stdout and exits 0.  Failures exit nonzero
+(1 config, 2 numeric, 3 I/O) with a one-line JSON error record on
+stderr, print nothing to stdout, and leave --out as it was.
 
 A layer only some commands run (fitting, switching) is imported inside
 those commands, so each command loads only the modules it uses.
@@ -15,9 +15,13 @@ those commands, so each command loads only the modules it uses.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +46,8 @@ from .electrostatics import (
     stark_shift,
     voltage_to_detuning,
 )
-from .errors import ConfigError, IngestError, QdSwitchError, check_array
-from .manifest import write_manifest
+from .errors import ConfigError, IngestError, QdSwitchError, check_array, check_value
+from .manifest import MANIFEST_NAME, write_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -95,7 +99,7 @@ def _calibrated_cqed(cfg: RunConfig):
     result = fit_contrast(targets, cfg.electrostatic_params(), cfg.stark_coefficients(),
                           cqed, field_sign=cfg["field_sign"])
     # A non-finite residual comes from the device values, not the targets.
-    _require_finite("calibration", [("residual_norm", result.residual_norm)])
+    check_value("calibration residual_norm", result.residual_norm, "finite")
     limit = CALIBRATION_RESIDUAL_REL * max(ratio for _, ratio in targets)
     if not (result.converged and result.residual_norm <= limit):
         raise ConfigError(
@@ -106,18 +110,22 @@ def _calibrated_cqed(cfg: RunConfig):
     return cqed, result.parameters["screening"], result
 
 
-def _require_finite(kind: str, rows) -> None:
-    """Raise DomainError naming the first (name, value, ...) row whose float
-    value or float array holds a NaN or inf, so none reaches a CSV."""
-    for name, value, *_ in rows:
-        if np.asarray(value).dtype.kind == "f":
-            check_array(f"{kind} {name}", value, (("finite",),))
+class _Table(NamedTuple):
+    """A CSV a command returns: file name, header, and either key/value rows
+    or one 1-D array per header name.  Columns that are all float are
+    written as columns, with periods as write_csv takes them; others, as rows."""
+
+    name: str
+    header: list[str]
+    rows: list | None = None
+    columns: list[np.ndarray] | None = None
+    periods: tuple = ()
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each writes its CSVs and returns them with the manifest's
-# extra lines and the stdout summary lines, which main records and prints.
-_Written = tuple[list[Path], dict[str, object], list[str]]
+# subcommands: each returns its tables with the manifest's extra lines and
+# the stdout summary lines, which main writes, records and prints.
+_Written = tuple[list[_Table], dict[str, object], list[str]]
 
 
 def _cmd_stark(cfg: RunConfig, args) -> _Written:
@@ -127,17 +135,12 @@ def _cmd_stark(cfg: RunConfig, args) -> _Written:
     limit = cfg["fit_field_limit_v_per_um"]
     volts = cfg.voltage_grid()
     fields = field_at_cavity(elec, volts)
-    columns = {
-        "voltage_V": volts,
-        "x_d_um": depletion_width(elec, volts),
-        "field_V_per_um": fields,
-        "shift_meV": stark_shift(coeffs, sign * fields),
-        "extrapolated": fields > limit,
-    }
-    _require_finite("column", columns.items())
-    out = write_csv(Path(args.out) / "stark.csv", list(columns), zip(*columns.values()))
+    columns = [volts, depletion_width(elec, volts), fields,
+               stark_shift(coeffs, sign * fields), fields > limit]
+    table = _Table("stark.csv", ["voltage_V", "x_d_um", "field_V_per_um", "shift_meV",
+                                 "extrapolated"], columns=columns)
     onset = onset_voltage(elec)
-    return [out], {"summary.onset_voltage_V": onset}, [
+    return [table], {"summary.onset_voltage_V": onset}, [
         f"onset_voltage_V = {onset!r}", f"rows = {volts.size}"]
 
 
@@ -156,10 +159,9 @@ def _cmd_spectrum(cfg: RunConfig, args) -> _Written:
     grid = cfg.detuning_grid()
     refl = reflectivity_spectrum(cqed, grid)
     pl = pl_spectrum(cqed, grid)
-    out = write_csv(Path(args.out) / "spectrum.csv",
-                    ["detuning_GHz", "reflectivity", "pl"],
-                    columns=[grid / TWO_PI, refl.intensities, pl.intensities])
-    return [out], {"summary.bias_V": bias}, [f"points = {len(refl)}"]
+    table = _Table("spectrum.csv", ["detuning_GHz", "reflectivity", "pl"],
+                  columns=[grid / TWO_PI, refl.intensities, pl.intensities])
+    return [table], {"summary.bias_V": bias}, [f"points = {len(refl)}"]
 
 
 def _cmd_switch(cfg: RunConfig, args) -> _Written:
@@ -174,8 +176,10 @@ def _cmd_switch(cfg: RunConfig, args) -> _Written:
         field_sign=cfg["field_sign"],
     )
     ratio = on_off_ratio(trace)
-    trace_path = write_csv(Path(args.out) / "switch_trace.csv",
-                           ["time_ns", "intensity"], columns=[trace.times, trace.values])
+    # The intensities tile one steady-state cycle; the times do not repeat.
+    trace_table = _Table("switch_trace.csv", ["time_ns", "intensity"],
+                         columns=[trace.times, trace.values],
+                         periods=(None, int(drive.samples_per_cycle)))
     summary_rows = [
         ("drive_MHz", drive.frequency_mhz, "MHz"),
         ("on_off_ratio", ratio, "dimensionless"),
@@ -185,13 +189,12 @@ def _cmd_switch(cfg: RunConfig, args) -> _Written:
         ("screening", screening, "dimensionless"),
         ("calibrated", calibration is not None, "flag"),
     ]
-    summary_path = write_csv(Path(args.out) / "switch_summary.csv",
-                             ["quantity", "value", "unit"], summary_rows)
+    summary = _Table("switch_summary.csv", ["quantity", "value", "unit"], summary_rows)
     extra = {"summary.on_off_ratio": ratio}
     if calibration is not None:
         extra["summary.calibration_residual"] = calibration.residual_norm
         extra["summary.calibration_converged"] = calibration.converged
-    return [trace_path, summary_path], extra, [
+    return [trace_table, summary], extra, [
         f"on_off_ratio = {ratio!r} at {drive.frequency_mhz!r} MHz"]
 
 
@@ -217,9 +220,8 @@ def _cmd_metrics(cfg: RunConfig, args) -> _Written:
         ("switching_energy_fJ", switching_energy(budget), "fJ"),
         ("screening", cfg.screening(), "dimensionless"),
     ]
-    _require_finite("metric", rows)
-    out = write_csv(Path(args.out) / "metrics.csv", ["metric", "value", "unit"], rows)
-    return [out], {}, [f"{name} = {value}" for name, value, _ in rows]
+    return [_Table("metrics.csv", ["metric", "value", "unit"], rows)], {}, [
+        f"{name} = {value}" for name, value, _ in rows]
 
 
 def _cmd_fit(cfg: RunConfig, args) -> _Written:
@@ -252,14 +254,12 @@ def _cmd_fit(cfg: RunConfig, args) -> _Written:
     if result.covariance_diag:
         for name, var in sorted(result.covariance_diag.items()):
             rows.append((f"variance.{name}", var, ""))
-    _require_finite("parameter", rows)
-    out = write_csv(Path(args.out) / "fit_report.csv",
-                    ["parameter", "value", "unit"], rows)
+    table = _Table("fit_report.csv", ["parameter", "value", "unit"], rows)
     extra = {"summary.residual_norm": result.residual_norm,
              "summary.converged": result.converged}
     summary = [f"converged = {result.converged} residual_norm = {result.residual_norm!r}"]
     summary += [f"{name} = {value!r}" for name, value in sorted(result.parameters.items())]
-    return [out], extra, summary
+    return [table], extra, summary
 
 
 _COMMANDS = {
@@ -301,14 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         cfg, inputs = _load(args)
-        outputs, extra, summary = _COMMANDS[args.command](cfg, args)
+        tables, extra, summary = _COMMANDS[args.command](cfg, args)
         command = f"fit:{args.kind}" if args.command == "fit" else args.command
-        write_manifest(out_dir, command=command, version=__version__, seed=cfg["seed"],
-                       inputs=inputs, outputs=outputs, config_values=cfg.values,
-                       extra=extra)
+        _emit(Path(args.out), tables, command=command, version=__version__,
+              seed=cfg["seed"], inputs=inputs, config_values=cfg.values, extra=extra)
         print("\n".join(summary))
         return EXIT_OK
     except QdSwitchError as exc:
@@ -317,6 +314,41 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_IO)
     except (ValueError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         return _fail(exc, EXIT_NUMERIC)
+
+
+def _emit(out_dir: Path, tables: list[_Table], **record) -> None:
+    """The one output sink.  It checks every float cell of tables, writes
+    them and the manifest (record, as write_manifest takes it) into a
+    staging directory under out_dir, then moves each CSV into place and
+    the manifest last.  The old manifest is removed before the first move,
+    so a failed move leaves none; any earlier failure leaves out_dir as it
+    was.  The staging directory is removed either way."""
+    for table in tables:
+        if table.columns is None:
+            for row in table.rows:
+                for cell in row:
+                    if isinstance(cell, float):
+                        check_value(f"{table.header[0]} {row[0]}", cell, "finite")
+        else:
+            for name, column in zip(table.header, table.columns):
+                if column.dtype.kind == "f":
+                    check_array(f"column {name}", column, (("finite",),))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        written = []
+        for name, header, rows, columns, periods in tables:
+            if columns is not None and any(c.dtype.kind != "f" for c in columns):
+                rows, columns = zip(*columns), None  # flags keep format_value's text
+            written.append(write_csv(stage / name, header, rows, columns=columns,
+                                     periods=periods))
+        manifest = write_manifest(stage, outputs=written, **record)
+        (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+        for path in written:
+            os.replace(path, out_dir / path.name)
+        os.replace(manifest, out_dir / MANIFEST_NAME)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _fail(exc: Exception, code: int | None = None) -> int:

@@ -4,16 +4,8 @@ Files are UTF-8, comma separated, newline terminated, always with a
 header row.  Floats are written as repr(float(v)), Python's shortest
 round-trip representation, so emit-then-ingest recovers values exactly;
 output is byte-identical across reruns of the same configuration.
-
-Float columns (a 2-D float array, or columns=) and a chunk of rows whose
-every value is a float or np.float64 are formatted with no Python
-string per value, by floattext's exact-integer kernel: such a row chunk
-is read row-major into one array and formatted by one kernel call.
-For 1e-4 <= |v| < 2**52 the kernel finds repr's shortest digits for a
-whole array at once, with Ryu's method (Adams, PLDI 2018), scaling each
-value by a power of ten and bounding its rounding interval by 64-bit
-integers; any other value (+-0.0, subnormals, |v| < 1e-4 or >= 2**52,
-inf, nan) keeps repr's own text.  Either way the bytes equal repr(float(v)).
+Float columns, and chunks of rows that hold only floats, are formatted
+by floattext's array kernel, with the same bytes as repr.
 """
 
 from __future__ import annotations
@@ -51,22 +43,16 @@ def format_value(value) -> str:
 
 def write_csv(path: Path | str, header: Sequence[str],
               rows: Iterable[Sequence] | np.ndarray | None = None, *,
-              columns: Sequence[np.ndarray] | None = None) -> Path:
+              columns: Sequence[np.ndarray] | None = None,
+              periods: Sequence[int | None] = ()) -> Path:
     """Write rows under a mandatory header, WRITE_CHUNK_ROWS at a time;
-    returns the path.  Values are formatted by format_value, with the same
-    bytes as value by value.  Give either rows, or columns: one equal-length
-    1-D float array per header name, written without being stacked.  rows
-    may be a 2-D array with one column per header name.  Float columns are
-    formatted by floattext.float_text, each chunk packed into one buffer; a
-    repetitive column has each distinct value formatted once, and a
-    strictly increasing one skips the search for repeats.  Columns, and a
-    column-major table (np.array(columns).T), are not copied, so the extra
-    memory is a chunk of text plus, per repetitive column, its distinct
-    values.  A row of the wrong width, or columns or an array of the wrong
-    shape, raises and leaves no file.  A chunk of rows whose every value is
-    a float or np.float64 is read row-major into one array, formatted by
-    one float_text call and packed the same way; any other chunk has each
-    column's formatter picked once from the types it holds."""
+    returns the path.  Give either rows (a 2-D array may stand for them),
+    or columns: one equal-length 1-D float array per header name, written
+    without being stacked.  periods[k], when set, is the row count after
+    which column k repeats: a column holding two or more periods has one
+    period formatted, once.  The bytes are format_value's, value by value.
+    A row of the wrong width, or columns or an array of the wrong shape,
+    raises and leaves no file."""
     if not header:
         raise DomainError("CSV header must not be empty")
     path = Path(path)
@@ -89,7 +75,7 @@ def write_csv(path: Path | str, header: Sequence[str],
         with path.open("wb") as f:
             f.write((",".join(header) + "\n").encode("utf-8"))
             if columns is not None:
-                _write_float_columns(f, columns)
+                _write_floats(f, columns, periods)
             else:
                 _write_rows(f, iter(rows), width)
     except BaseException:
@@ -99,6 +85,8 @@ def write_csv(path: Path | str, header: Sequence[str],
 
 
 def _write_rows(f, rows, width: int) -> None:
+    """Each chunk of all-float rows goes to _write_float_rows; any other
+    chunk has each column's formatter picked once from the types it holds."""
     while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
         if set(map(len, chunk)) != {width}:
             raise DomainError("CSV row width differs from header")
@@ -112,20 +100,38 @@ def _write_rows(f, rows, width: int) -> None:
 
 
 def _write_float_rows(f, chunk: list, width: int) -> None:
-    """A chunk of all-float rows, read row-major into one array and
-    formatted by one float_text call; _pack takes its text as one
-    (rows, TEXT_BYTES) view per column."""
+    """A chunk of all-float rows, read row-major into one array."""
+    values = np.fromiter(chain.from_iterable(chunk), np.float64, len(chunk) * width)
+    _write_floats(f, list(values.reshape(len(chunk), width).T))
+
+
+def _write_floats(f, columns: list[np.ndarray], periods: Sequence[int | None] = ()) -> None:
+    """Float columns, a chunk at a time, each chunk packed as one buffer.
+
+    A column holding two or more of its periods has its first period
+    formatted once, and each chunk takes its rows from that text.  The
+    other columns of a chunk are formatted together by one float_text call.
+    """
+    # Imported here, so that commands writing no float column never load it.
     from .floattext import TEXT_BYTES, float_text
 
-    values = np.fromiter(chain.from_iterable(chunk), np.float64, len(chunk) * width)
-    text = float_text(values).reshape(len(chunk), width, TEXT_BYTES)
-    _pack(f, text.swapaxes(0, 1))
-
-
-def _write_float_columns(f, columns: list[np.ndarray]) -> None:
-    texts = [_column_text(column) for column in columns]
-    for start in range(0, columns[0].size, WRITE_CHUNK_ROWS):
-        _pack(f, [text(start, start + WRITE_CHUNK_ROWS) for text in texts])
+    size = columns[0].size
+    cycles = {}
+    for k, period in enumerate(periods):
+        if period and 2 * period <= size:
+            cycles[k] = np.empty((period, TEXT_BYTES), dtype=np.uint8)
+            for start in range(0, period, WRITE_CHUNK_ROWS):
+                stop = min(start + WRITE_CHUNK_ROWS, period)
+                cycles[k][start:stop] = float_text(columns[k][start:stop])
+    plain = [column for k, column in enumerate(columns) if k not in cycles]
+    for start in range(0, size, WRITE_CHUNK_ROWS):
+        stop = min(start + WRITE_CHUNK_ROWS, size)
+        if plain:
+            text = iter(float_text(np.concatenate([c[start:stop] for c in plain]))
+                        .reshape(len(plain), stop - start, TEXT_BYTES))
+        rows = np.arange(start, stop)
+        _pack(f, [cycles[k].take(rows % periods[k], axis=0) if k in cycles else next(text)
+                  for k in range(len(columns))])
 
 
 def _pack(f, fields) -> None:
@@ -140,48 +146,6 @@ def _pack(f, fields) -> None:
     line[:, -1, -1] = ord("\n")
     line = line.ravel()
     f.write(line[line != 0])
-
-
-def _column_text(column: np.ndarray):
-    """(start, stop) -> float_text of column[start:stop].
-
-    A strictly increasing column (a time axis) has no repeats, so it is
-    formatted chunk by chunk with no search for them.  Any other column
-    has its distinct values found by bit pattern, so -0.0 and 0.0 stay
-    apart.  If at most half its values are distinct, as in a periodic
-    steady-state trace, each distinct value is formatted once into a
-    table of texts, and every chunk looks its values up in it with
-    np.searchsorted, so no per-row index array is held; otherwise it too
-    is formatted chunk by chunk.
-    """
-    # Imported here, so that commands writing no float column never load it.
-    from .floattext import TEXT_BYTES, float_text
-
-    column = np.ascontiguousarray(column)
-    if not np.all(column[1:] > column[:-1]):
-        # Sorted rather than np.unique, whose hash-table path (taken when no
-        # indices are asked for) is several times slower on these columns.
-        bits = column.view(np.int64)
-        ordered = np.sort(bits)
-        distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
-        del ordered
-        if 2 * distinct.size <= column.size:
-            values = distinct.view(np.float64)
-            table = np.empty((distinct.size, TEXT_BYTES), dtype=np.uint8)
-            for start in range(0, distinct.size, WRITE_CHUNK_ROWS):
-                stop = start + WRITE_CHUNK_ROWS
-                table[start:stop] = float_text(values[start:stop])
-
-            def lookup(start: int, stop: int) -> np.ndarray:
-                # Searching in key order keeps the binary search's branches
-                # predictable: about half the time of searching row by row.
-                chunk = bits[start:stop]
-                order = np.argsort(chunk)
-                index = np.empty(chunk.size, dtype=np.intp)
-                index[order] = np.searchsorted(distinct, chunk[order])
-                return table.take(index, axis=0)
-            return lookup
-    return lambda start, stop: float_text(column[start:stop])
 
 
 def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.ndarray]:

@@ -10,8 +10,10 @@ detuning_start_ghz above detuning_stop_ghz) are left out.
 
 import json
 import math
+import re
 import sys
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -103,6 +105,26 @@ def test_contract_table_covers_every_key():
                 "cavity_offset_ghz", "dot_offset_ghz", "probe_detuning_ghz",
                 "detuning_start_ghz"}
     assert ranged | no_range | set(FLOAT_KEYS) == set(_KEYS)
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    # Each row names its keys and their defaults in backticks, in order;
+    # "unset" is an empty list, and "in the preset" gives the preset's
+    # value of a key that has none by default.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n")[1]
+    preset = parse_config(_preset_path("paper"))
+    documented = {}
+    for line in table[:table.index("\n\n")].splitlines():
+        keys, defaults, _ = line.strip("|").split(" | ", 2)
+        keys, texts = re.findall("`([^`]+)`", keys), re.findall("`([^`]+)`", defaults)
+        for key, text in zip(keys, texts or [""] * len(keys)):
+            value = _KEYS[key][0](text)
+            if defaults.endswith("in the preset"):
+                assert preset[key] == value
+                value = ()
+            documented[key] = value
+    assert documented == {key: spec[1] for key, spec in _KEYS.items()}
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,8 +2,8 @@
 
 A CLI run ends in one of two ways.  On exit 0 the manifest lists every
 CSV the run wrote and the summary is printed after it.  On any other
-exit there is one JSON record on stderr, nothing on stdout and no
-manifest.
+exit there is one JSON record on stderr, nothing on stdout, and --out
+holds what it held before the run: no new CSV, no staging directory.
 """
 
 import hashlib
@@ -22,8 +22,9 @@ from qdswitch import (
     Spectrum,
     TimeTrace,
 )
+from qdswitch import cli
 from qdswitch.cli import main
-from qdswitch.csvio import ingest_shift_csv, ingest_spectrum_csv
+from qdswitch.csvio import ingest_shift_csv, ingest_spectrum_csv, write_csv
 from qdswitch.fitting import fit_spectrum, fit_stark_curve, stark_model
 from qdswitch.manifest import MANIFEST_NAME, read_manifest
 
@@ -80,6 +81,27 @@ def test_cli_failure_prints_one_record_and_nothing_else(tmp_path, capsys, case):
                                         "message": message.format(tmp=tmp_path)}
     assert not list(out.glob("*.csv"))
     assert not (out / MANIFEST_NAME).exists()
+    assert _left_in(out) == {}
+
+
+def _left_in(out):
+    """{name: bytes} of every file in out, None for a directory; {} if out is absent."""
+    if not out.exists():
+        return {}
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in out.iterdir()}
+
+
+def _fail_csv_write(monkeypatch, n):
+    """Make a run's nth CSV write put part of its file down, then raise OSError."""
+    calls = []
+
+    def write(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == n:
+            path.write_bytes(b"voltage_V,x_d")
+            raise OSError("no space left on device")
+        return write_csv(path, *args, **kwargs)
+    monkeypatch.setattr(cli, "write_csv", write)
 
 
 SUCCESSFUL_RUNS = [["stark"], ["spectrum"], ["switch"], ["metrics"],
@@ -110,6 +132,47 @@ def test_cli_failed_manifest_write_prints_no_summary(tmp_path, capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error_class"] == "OSError"
+    assert _left_in(tmp_path / "o") == {}
+
+
+def test_cli_failed_second_csv_write_leaves_nothing(tmp_path, capsys, monkeypatch):
+    # switch writes its trace, then its summary; the summary's write fails.
+    _fail_csv_write(monkeypatch, 2)
+    out = tmp_path / "o"
+    assert main(["switch", "--preset", "paper", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error_code": 3, "error_class": "OSError",
+                                        "message": "no space left on device"}
+    assert _left_in(out) == {}
+
+
+def test_cli_failed_rerun_keeps_the_previous_outputs(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    assert main(["stark", "--preset", "paper", "--out", str(out)]) == 0
+    before = _left_in(out)
+    assert sorted(before) == [MANIFEST_NAME, "stark.csv"]
+    capsys.readouterr()
+    _fail_csv_write(monkeypatch, 1)
+    assert main(["stark", "--preset", "paper", "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert _left_in(out) == before
+
+
+def test_cli_failed_publication_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    # The first move into --out fails: the old manifest is already gone, so
+    # none lists a file that is not there.
+    out = tmp_path / "o"
+    assert main(["stark", "--preset", "paper", "--out", str(out)]) == 0
+    before = _left_in(out)
+
+    def refuse(src, dst):
+        raise OSError("cross-device link")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(["stark", "--preset", "paper", "--out", str(out)]) == 3
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert _left_in(out) == {"stark.csv": before["stark.csv"]}
 
 
 def test_stark_fit_on_nearly_equal_fields_is_degenerate(device_elec, device_stark):

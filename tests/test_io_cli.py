@@ -399,6 +399,30 @@ def test_write_csv_float_column_kinds_match_per_value_formatting(tmp_path, colum
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
+@pytest.mark.parametrize("period, count", [(1, 9000), (7, 1500), (3000, 3),
+                                           (WRITE_CHUNK_ROWS + 5, 2), (5000, 1)])
+def test_write_csv_periodic_column_formats_one_period(tmp_path, monkeypatch, period, count):
+    # A column that holds two or more of its declared periods has one period
+    # formatted; the rest of its text is taken from it, with per-value bytes.
+    from qdswitch import floattext
+    rng = np.random.default_rng(period)
+    cycle = rng.standard_normal(period) * 10.0 ** rng.integers(-320, 300, period)
+    cycle[::3] = rng.choice(EDGE_FLOATS, cycle[::3].size)
+    column = np.tile(cycle, count)
+    times = np.arange(column.size) * 0.25
+    sizes = []
+    float_text = floattext.float_text
+
+    def spy(values):
+        sizes.append(values.size)
+        return float_text(values)
+    monkeypatch.setattr(floattext, "float_text", spy)
+    path = write_csv(tmp_path / "p.csv", ["t", "v"], columns=[times, column],
+                     periods=(None, period))
+    assert sum(sizes) == column.size + (period if count >= 2 else column.size)
+    assert path.read_bytes() == _formatted(["t", "v"], zip(times.tolist(), column.tolist()))
+
+
 def test_write_csv_trace_table_peak_memory_stays_below_the_table(tmp_path, device_elec,
                                                                  device_stark, device_cqed):
     # The switch trace table: a strictly increasing time column and an
