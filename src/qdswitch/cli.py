@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 import tempfile
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -322,7 +322,8 @@ def _emit(out_dir: Path, tables: list[_Table], **record) -> None:
     staging directory under out_dir, then moves each CSV into place and
     the manifest last.  The old manifest is removed before the first move,
     so a failed move leaves none; any earlier failure leaves out_dir as it
-    was.  The staging directory is removed either way."""
+    was, and absent if the run created it.  The staging directory is
+    removed either way."""
     for table in tables:
         if table.columns is None:
             for row in table.rows:
@@ -333,22 +334,27 @@ def _emit(out_dir: Path, tables: list[_Table], **record) -> None:
             for name, column in zip(table.header, table.columns):
                 if column.dtype.kind == "f":
                     check_array(f"column {name}", column, (("finite",),))
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
-        written = []
-        for name, header, rows, columns, periods in tables:
-            if columns is not None and any(c.dtype.kind != "f" for c in columns):
-                rows, columns = zip(*columns), None  # flags keep format_value's text
-            written.append(write_csv(stage / name, header, rows, columns=columns,
-                                     periods=periods))
-        manifest = write_manifest(stage, outputs=written, **record)
-        (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
-        for path in written:
-            os.replace(path, out_dir / path.name)
-        os.replace(manifest, out_dir / MANIFEST_NAME)
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir,
+                                         ignore_cleanup_errors=True) as staging:
+            stage, written = Path(staging), []
+            for name, header, rows, columns, periods in tables:
+                if columns is not None and any(c.dtype.kind != "f" for c in columns):
+                    rows, columns = zip(*columns), None  # flags keep format_value's text
+                written.append(write_csv(stage / name, header, rows, columns=columns,
+                                         periods=periods))
+            manifest = write_manifest(stage, outputs=written, **record)
+            (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+            for path in written:
+                os.replace(path, out_dir / path.name)
+            os.replace(manifest, out_dir / MANIFEST_NAME)
+        created = []  # published: the directories stay
     finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        for path in created:  # innermost first; a directory something was moved into stays
+            with suppress(OSError):
+                path.rmdir()
 
 
 def _fail(exc: Exception, code: int | None = None) -> int:

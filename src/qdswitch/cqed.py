@@ -111,19 +111,23 @@ def polariton_modes(params: CqedParams) -> tuple[complex, complex]:
 
 
 def reflectivity_terms(params: CqedParams, omega, *, dot_freq=None, coupling=None,
-                       dot_decay=None):
+                       dot_decay=None, phases=None):
     """Dot and cavity denominators (E, D) of the reflectivity at omega.
 
     E = i(w_d - w) + gamma and D = i(w_c - w) + kappa + g^2/E.
     dot_freq, coupling and dot_decay replace the matching params fields
     when given, unvalidated; every argument broadcasts, so one call
-    evaluates a whole trace or parameter grid.
+    evaluates a whole trace or parameter grid.  phases, when given, is the
+    pair (i(w_d - w), i(w_c - w)) already formed for these frequencies and
+    omega, as a fit holding both frequencies forms it once.
     """
-    dot_freq = params.dot_freq if dot_freq is None else dot_freq
     coupling = params.coupling if coupling is None else coupling
     dot_decay = params.dot_decay if dot_decay is None else dot_decay
-    e = 1j * (dot_freq - omega) + dot_decay
-    d = 1j * (params.cavity_freq - omega) + params.cavity_decay + coupling ** 2 / e
+    if phases is None:
+        dot_freq = params.dot_freq if dot_freq is None else dot_freq
+        phases = 1j * (dot_freq - omega), 1j * (params.cavity_freq - omega)
+    e = phases[0] + dot_decay
+    d = phases[1] + params.cavity_decay + coupling ** 2 / e
     return e, d
 
 

@@ -149,27 +149,31 @@ def _pack(f, fields) -> None:
 
 
 def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.ndarray]:
-    """Header names and one contiguous float array per column."""
+    """Header names and one contiguous float array per column.  The first
+    non-blank line is the header; blank lines anywhere are skipped."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"data file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = next((k for k, line in enumerate(lines) if line.strip()), None)
+    if first is None:
         raise IngestError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[first].split(",")]
     if len(header) != expected_columns:
         raise IngestError(
             f"{path}: expected {expected_columns} columns, header has {len(header)}")
-    body = lines[1:]
+    body = lines[first + 1:]
+    if any(body):  # loadtxt skips empty lines, and warns when no line is left
+        with suppress(ValueError):
+            values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            if values.shape[1] == expected_columns:
+                return header, values.T.copy()
+    # Row by row: drops whitespace-only lines, names the first malformed line
+    # (counting non-blank lines) and reads any number syntax float() accepts
+    # but loadtxt does not.
+    body = [line for line in body if line.strip()]
     if not body:
         raise IngestError(f"{path}: no data rows")
-    with suppress(ValueError):
-        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        if values.shape[1] == expected_columns:
-            return header, values.T.copy()
-    # Row by row: names the first malformed line (counting non-blank lines)
-    # and reads any number syntax float() accepts but loadtxt does not.
     rows = []
     for lineno, line in enumerate(body, start=2):
         parts = line.split(",")
@@ -210,12 +214,14 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float = 935.0
     # A point within 1e-12 (relative) of its sorted predecessor repeats it;
     # a run of such points is one grid point, kept at its first member.
     repeat = np.append(False, np.abs(np.diff(x)) <= 1e-12 * np.maximum(np.abs(x[1:]), 1.0))
-    y_kept = y[np.maximum.accumulate(np.where(repeat, 0, np.arange(x.size)))]
-    tol = 1e-9 * np.maximum(np.maximum(np.abs(y), np.abs(y_kept)), 1.0)
-    if np.any(repeat & (np.abs(y - y_kept) > tol)):
-        raise IngestError(f"{path}: conflicting intensities for duplicated grid point")
+    if repeat.any():
+        y_kept = y[np.maximum.accumulate(np.where(repeat, 0, np.arange(x.size)))]
+        tol = 1e-9 * np.maximum(np.maximum(np.abs(y), np.abs(y_kept)), 1.0)
+        if np.any(repeat & (np.abs(y - y_kept) > tol)):
+            raise IngestError(f"{path}: conflicting intensities for duplicated grid point")
+        x, y = x[~repeat], y[~repeat]
     try:
-        return Spectrum(x[~repeat], y[~repeat])
+        return Spectrum(x, y)
     except DomainError as exc:
         raise IngestError(f"{path}: {exc}") from exc
 

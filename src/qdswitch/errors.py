@@ -86,13 +86,20 @@ def check_value(label: str, value, kind: str, bound=None, field: str | None = No
 
 BLOCK_SAMPLES = 8192  # values per step of an array check
 
-# axis rule -> (rule, good steps of a block led by the value before it): a uniform
-# step is np.isclose(rtol=1e-9, atol=0) to the first; distinct sorts, as np.unique
-# imports numpy.ma.
+
+def _uniform_steps(b, a):
+    """Steps of block b within np.isclose(rtol=1e-9, atol=0) of a's first step.
+    An overflowing step is bad; the other rules only compare, which raises no
+    floating-point warning, NaN included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return abs(b[1:] - b[:-1] - (a[1] - a[0])) <= 1e-9 * abs(a[1] - a[0])
+
+
+# axis rule -> (rule, good steps of a block led by the value before it); distinct
+# sorts, as np.unique imports numpy.ma.
 _AXES = {
     "increasing": ("be strictly increasing", lambda b, a: b[1:] > b[:-1]),
-    "uniform": ("be uniformly sampled",
-                lambda b, a: abs(b[1:] - b[:-1] - (a[1] - a[0])) <= 1e-9 * abs(a[1] - a[0])),
+    "uniform": ("be uniformly sampled", _uniform_steps),
     "distinct": ("be distinct", lambda b, a: b[1:] != b[:-1]),
 }
 
@@ -117,8 +124,7 @@ def check_array(label: str, values, rules, field: str | None = None):
         # Each block of BLOCK_SAMPLES values reaches back one more for a step.
         for start in range(back, walked.size, BLOCK_SAMPLES):
             block = walked[start - back:start + BLOCK_SAMPLES]
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is bad
-                ok = good(block, walked)
+            ok = good(block, walked)
             if not ok.all():
                 value = float(block[back + ok.argmin()])
                 if rule not in _AXES:

@@ -99,12 +99,14 @@ def _levenberg_marquardt(
             iterations -= 1
             break
         jtj = j.T @ j
-        diag = np.diag(jtj).copy()
+        diag = jtj.diagonal().copy()
         diag[diag <= 0.0] = 1.0
+        damped, descent = jtj.copy(), -g
         accepted = False
         for _ in range(40):
+            np.fill_diagonal(damped, jtj.diagonal() + lam * diag)
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -g)
+                step = np.linalg.solve(damped, descent)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -278,10 +280,13 @@ def _spectrum_problem(spectrum: Spectrum, initial: CqedParams, names: Sequence[s
     """The spectrum fit in the packed coordinates: problem(x) -> (residual,
     jacobian), the Jacobian built from the E and D that formed the residual."""
     data, grid = spectrum.intensities, spectrum.detunings
+    # With both frequencies held, i(w_d - w) and i(w_c - w) are formed once per fit.
+    phases = None if {"dot_freq", "cavity_freq"} & set(names) else (
+        1j * (initial.dot_freq - grid), 1j * (initial.cavity_freq - grid))
 
     def problem(x: np.ndarray):
         p = _unpack(initial, names, x)
-        e, d = reflectivity_terms(p, grid)
+        e, d = reflectivity_terms(p, grid, phases=phases)
         return (_intensity(p, d) - data,
                 lambda: _jacobian_columns(p, e, d, names) * _log_scales(p, names))
 

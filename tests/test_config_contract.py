@@ -288,3 +288,24 @@ def test_drive_spec_rejects_a_non_finite_size_naming_it(name, bad):
     with pytest.raises(DomainError, match=f"^{name} must be an integer") as info:
         DriveSpec(**{**_VALID[DriveSpec], name: bad})
     assert info.value.field == name
+
+
+# key -> (dataclass, field) for each default written both in config._KEYS and on
+# the field itself; the two copies must agree until one of them is deleted.
+SHARED_DEFAULTS = {
+    "duty": (DriveSpec, "duty"),
+    "rc_cutoff_mhz": (DriveSpec, "rc_cutoff_mhz"),
+    "cycles": (DriveSpec, "cycles"),
+    "samples_per_cycle": (DriveSpec, "samples_per_cycle"),
+    "amplitude": (CqedParams, "amplitude"),
+    "background": (CqedParams, "background"),
+    "lambda0_nm": (OpticalFrame, "reference_wavelength_nm"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SHARED_DEFAULTS))
+def test_config_default_agrees_with_its_dataclass_field(key):
+    cls, name = SHARED_DEFAULTS[key]
+    default = {f.name: f.default for f in fields(cls)}[name]
+    assert type(_KEYS[key][1]) is type(default)
+    assert _KEYS[key][1] == default

@@ -10,6 +10,7 @@ BLOCK_SAMPLES values at a time.
 import math
 import operator
 import re
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -260,3 +261,15 @@ def test_check_array_keeps_the_bits_and_reports_a_scalar_like_check_value():
     with pytest.raises(DomainError, match=r"^v must be >= 0, got -0\.1$") as info:
         check_array("v", -0.1, ((">=", 0.0),))
     assert info.value.field is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rule", [("finite",), (">", 0.0), (">=", 0.0), ("[]", (0.0, 1.0)),
+                                  ("()", (0.0, 1.0)), "increasing", "uniform", "distinct"],
+                         ids=str)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_array_rule_on_non_finite_or_huge_values_raises_no_warning(rule, bad):
+    # Only the uniform rule subtracts, and its overflow is caught where it happens.
+    values = np.array([-sys.float_info.max, sys.float_info.max, bad, bad, -sys.float_info.max])
+    with pytest.raises(DomainError):
+        check_array("x", values, (rule,))

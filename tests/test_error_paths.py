@@ -135,6 +135,18 @@ def test_cli_failed_manifest_write_prints_no_summary(tmp_path, capsys, monkeypat
     assert _left_in(tmp_path / "o") == {}
 
 
+def test_cli_failed_run_removes_the_out_it_created(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("qdswitch.cli.write_manifest", refuse)
+    out = tmp_path / "fresh" / "nested"
+    assert main(["stark", "--preset", "paper", "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+    assert not out.parent.exists()
+
+
 def test_cli_failed_second_csv_write_leaves_nothing(tmp_path, capsys, monkeypatch):
     # switch writes its trace, then its summary; the summary's write fails.
     _fail_csv_write(monkeypatch, 2)
@@ -214,13 +226,22 @@ def test_library_rejects_bad_input(case):
         call()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("ingest, text, message", [
     (ingest_spectrum_csv, "detuning_GHz,intensity,pl\n1,2,3\n",
      "d.csv: expected 2 columns, header has 3$"),
     (ingest_shift_csv, "voltage_V,shift_meV\n\n", "d.csv: no data rows$"),
-], ids=["wrong-width header", "no data rows"])
+    (ingest_shift_csv, "voltage_V,shift_meV", "d.csv: no data rows$"),
+    (ingest_shift_csv, "\n\nvoltage_V,shift_meV\r\n\r\n\r\n", "d.csv: no data rows$"),
+    (ingest_spectrum_csv, "detuning_GHz,intensity\n \n\t\n\n", "d.csv: no data rows$"),
+    (ingest_spectrum_csv, " \n\r\n", "d.csv: empty file$"),
+    (ingest_spectrum_csv, "\r\n\r\ndetuning_GHz,intensity\r\n\r\n0,1\r\n1,x\r\n",
+     "d.csv:3: non-numeric value$"),
+], ids=["wrong-width header", "no data rows", "no data rows, header without newline",
+        "no data rows, CRLF and blank lines", "no data rows, whitespace-only lines",
+        "only blank lines", "malformed row after blank lines"])
 def test_ingest_rejects_a_malformed_file(tmp_path, ingest, text, message):
     path = tmp_path / "d.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     with pytest.raises(IngestError, match=message):
         ingest(path)

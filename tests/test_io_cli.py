@@ -565,16 +565,52 @@ def test_ingest_reports_bad_row_number(tmp_path):
         ingest_spectrum_csv(path)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("body, message", [
     ("1.0,2.0\n3.0\n4.0,x\n", "bad.csv:3: expected 2 values"),
     ("1.0,2.0\n4.0,x\n3.0\n", "bad.csv:3: non-numeric value"),
     ("1.0,2.0,9.0\n3.0,4.0,9.0\n", "bad.csv:2: expected 2 values"),
+    # blank lines are not counted: the bad row is the third non-blank line
+    ("\n1.0,2.0\n\n4.0,x\n", "bad.csv:3: non-numeric value"),
+    ("1.0,2.0\n \t \n3.0\n", "bad.csv:3: expected 2 values"),
+    ("1.0,2.0\r\n\r\n4.0,x\r\n", "bad.csv:3: non-numeric value"),
+    ("1.0,2.0\n3.0", "bad.csv:3: expected 2 values"),
 ])
 def test_ingest_names_first_malformed_row(tmp_path, body, message):
     path = tmp_path / "bad.csv"
     path.write_text("detuning_GHz,intensity\n" + body, encoding="utf-8")
     with pytest.raises(IngestError, match=message):
         ingest_spectrum_csv(path)
+
+
+# name -> the clean file's text laid out another way
+LAYOUTS = {
+    "empty lines between rows": lambda clean: clean.replace("\n", "\n\n"),
+    "blank lines before the header": lambda clean: "\n \n\n" + clean,
+    "whitespace-only lines": lambda clean: clean.replace("\n", "\n \t\n"),
+    "CRLF endings": lambda clean: clean.replace("\n", "\r\n"),
+    "no final newline": lambda clean: clean[:-1],
+    "all at once": lambda clean: "\r\n\t\r\n" + clean[:-1].replace("\n", "\r\n \r\n\r\n"),
+}
+
+LAYOUT_VALUES = np.random.default_rng(11).uniform(-1.0, 1.0, (40, 2)) * [100.0, 1.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("header, ingest, fields", [
+    (("detuning_GHz", "intensity"), ingest_spectrum_csv, ("detunings", "intensities")),
+    (("voltage_V", "shift_meV"), ingest_shift_csv, ("voltages", "shifts_mev")),
+])
+def test_ingest_reads_every_line_layout_like_the_clean_file(tmp_path, layout, header,
+                                                            ingest, fields):
+    values = np.abs(LAYOUT_VALUES) if ingest is ingest_spectrum_csv else LAYOUT_VALUES
+    clean = write_csv(tmp_path / "clean.csv", header, values).read_text(encoding="utf-8")
+    path = tmp_path / "laid_out.csv"
+    path.write_bytes(LAYOUTS[layout](clean).encode("utf-8"))
+    want, got = ingest(tmp_path / "clean.csv"), ingest(path)
+    for field in fields:
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def test_ingest_reads_every_float_syntax(tmp_path):
