@@ -5,8 +5,10 @@ A config file is UTF-8 text, one ``key = value`` assignment per line,
 rejected.  Every key has a documented default, so an empty file is a
 valid configuration.  Frequencies given in config files are ordinary
 (nu = omega / 2 pi) GHz or MHz; the library converts to angular rates
-internally.  A bad value raises DomainError with field set to its key;
-parse_config turns it into ConfigError("<message> (config key <key>)").
+internally.  A key that builds a library type is declared once, in
+_FIELDS, with its field's default unless it gives its own.  A bad value
+raises DomainError with field set to its key; parse_config turns it into
+ConfigError("<message> (config key <key>)").
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .cqed import COUPLING_MAX, CqedParams, OpticalFrame, kappa_from_q
-from .electrostatics import DriveSpec, ElectrostaticParams, StarkCoefficients
+from .electrostatics import DEFAULT_FIELD_SIGN, DriveSpec, ElectrostaticParams, StarkCoefficients
 from .errors import ConfigError, DomainError, check_array, check_value
 
 
@@ -67,43 +69,47 @@ def _parse_targets(text: str) -> tuple[tuple[float, float], ...]:
 _ANGULAR_LIMIT = sys.float_info.max / (2.0 * TWO_PI)
 _ANGULAR_RANGE = ("[]", (-_ANGULAR_LIMIT, _ANGULAR_LIMIT))
 
-# key -> (parser, default[, (kind, bound) of a key no domain type checks])
+# type -> {field: key, or (key, default) where the field has none or a run needs
+# another (it always has a Q)}; the default's type, int or float, picks the parser.
+_FIELDS: dict[type, dict[str, str | tuple[str, float]]] = {
+    ElectrostaticParams: {
+        "donor_density_cm3": ("nd_cm3", 9e15), "barrier_potential_v": ("phi_v", 0.36),
+        "relative_permittivity": ("eps_r", 12.9), "electrode_distance_um": ("dx_um", 0.75)},
+    StarkCoefficients: {
+        "dipole_mev_um_per_v": ("dipole_mev_um_per_v", -0.009),
+        "polarizability_mev_um2_per_v2": ("polarizability_mev_um2_per_v2", -0.015)},
+    OpticalFrame: {"reference_wavelength_nm": "lambda0_nm",
+                   "quality_factor": ("q_factor", 4000.0)},
+    CqedParams: {"cavity_freq": ("cavity_offset_ghz", 0.0), "dot_freq": ("dot_offset_ghz", 0.0),
+                 "coupling": ("g_ghz", 20.0), "dot_decay": ("gamma_ghz", 0.1),
+                 "amplitude": "amplitude", "background": "background"},
+    DriveSpec: {"v_low": ("v_low_v", 0.0), "v_high": ("v_high_v", 10.0), "duty": "duty",
+                "frequency_mhz": ("drive_mhz", 150.0), "rc_cutoff_mhz": "rc_cutoff_mhz",
+                "cycles": "cycles", "samples_per_cycle": "samples_per_cycle"},
+}
+
+
+def _entries(cls) -> list[tuple[str, str, Any]]:
+    """(field, key, default) for each _FIELDS entry of cls."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return [(name, *((entry, defaults[name]) if isinstance(entry, str) else entry))
+            for name, entry in _FIELDS[cls].items()]
+
+
+# key -> (parser, default[, (kind, bound) of a key no domain type checks]):
+# the _FIELDS keys, then the keys that build no library type.
 _KEYS: dict[str, tuple] = {
-    # electrostatics
-    "nd_cm3": (_parse_float, 9e15),
-    "phi_v": (_parse_float, 0.36),
-    "eps_r": (_parse_float, 12.9),
-    "dx_um": (_parse_float, 0.75),
-    "field_sign": (_parse_float, -1.0),
+    **{key: (_parse_int if type(default) is int else _parse_float, default)
+       for cls in _FIELDS for _, key, default in _entries(cls)},
+    "field_sign": (_parse_float, DEFAULT_FIELD_SIGN),
     # Stark response
-    "dipole_mev_um_per_v": (_parse_float, -0.009),
-    "polarizability_mev_um2_per_v2": (_parse_float, -0.015),
     "fit_field_limit_v_per_um": (_parse_float, 5.0, (">", 0.0)),
     "screening": (_parse_float, 1.0, ("[]", (0.0, 1.0))),
-    # optical frame / coupled system (ordinary GHz in the file)
-    "lambda0_nm": (_parse_float, 935.0),
-    "q_factor": (_parse_float, 4000.0),
+    # coupled system and its optional coupling-versus-bias anchors (ordinary GHz)
     "kappa_ghz": (_parse_float, 0.0, (">=", 0.0)),  # 0 means derive from Q
-    "g_ghz": (_parse_float, 20.0),
-    "gamma_ghz": (_parse_float, 0.1),
-    "cavity_offset_ghz": (_parse_float, 0.0),
-    "dot_offset_ghz": (_parse_float, 0.0),
-    "amplitude": (_parse_float, 1.0),
-    "background": (_parse_float, 0.0),
-    # optional coupling-versus-bias anchors (ordinary GHz)
-    "g_anchor_v": (_parse_float_list, ()),
-    "g_anchor_ghz": (_parse_float_list, ()),
-    # drive
-    "v_low_v": (_parse_float, 0.0),
-    "v_high_v": (_parse_float, 10.0),
-    "drive_mhz": (_parse_float, 150.0),
-    "duty": (_parse_float, 0.5),
-    "rc_cutoff_mhz": (_parse_float, 100.0),
-    "cycles": (_parse_int, 9),
-    "samples_per_cycle": (_parse_int, 256),
+    "g_anchor_v": (_parse_float_list, ()), "g_anchor_ghz": (_parse_float_list, ()),
     "probe_detuning_ghz": (_parse_float, 0.0, _ANGULAR_RANGE),
-    # contrast calibration targets
-    "contrast_targets": (_parse_targets, ()),
+    "contrast_targets": (_parse_targets, ()),  # contrast calibration targets
     # sweep grids
     "v_start": (_parse_float, 0.0, (">=", 0.0)),
     "v_stop": (_parse_float, 10.0),
@@ -115,10 +121,8 @@ _KEYS: dict[str, tuple] = {
     # figures of merit
     "active_volume_um3": (_parse_float, 0.2, (">", 0.0)),
     "energy_field_v_per_um": (_parse_float, 5.0, (">=", 0.0)),
-    # fitting
     "fit_free": (str, "coupling,cavity_decay,dot_decay,amplitude"),
-    # reproducibility
-    "seed": (_parse_int, 0),
+    "seed": (_parse_int, 0),  # recorded in the manifest only
 }
 
 
@@ -133,29 +137,24 @@ class RunConfig:
 
     # -- domain object builders -------------------------------------------
 
-    def _build(self, cls, **keys):
-        """Construct a validated domain object; each field names its config
-        key, or gives (key, value) for a value computed from the file.  A
-        DomainError is re-raised with its field set to that config key."""
-        pairs = {name: (key, self[key]) if isinstance(key, str) else key
-                 for name, key in keys.items()}
+    def _build(self, cls, **computed):
+        """Construct cls from its _FIELDS keys, a *_ghz one (ordinary GHz) x 2 pi,
+        and computed field=(key, value) pairs; a DomainError names that key."""
+        pairs = {name: (key, TWO_PI * self[key] if key.endswith("_ghz") else self[key])
+                 for name, key, _ in _entries(cls)} | computed
         try:
             return cls(**{name: value for name, (_, value) in pairs.items()})
         except DomainError as exc:
             raise DomainError(str(exc), field=pairs[exc.field][0]) from exc
 
     def electrostatic_params(self) -> ElectrostaticParams:
-        return self._build(ElectrostaticParams, donor_density_cm3="nd_cm3",
-                           barrier_potential_v="phi_v", relative_permittivity="eps_r",
-                           electrode_distance_um="dx_um")
+        return self._build(ElectrostaticParams)
 
     def stark_coefficients(self) -> StarkCoefficients:
-        return self._build(StarkCoefficients, dipole_mev_um_per_v="dipole_mev_um_per_v",
-                           polarizability_mev_um2_per_v2="polarizability_mev_um2_per_v2")
+        return self._build(StarkCoefficients)
 
     def optical_frame(self) -> OpticalFrame:
-        return self._build(OpticalFrame, reference_wavelength_nm="lambda0_nm",
-                           quality_factor="q_factor")
+        return self._build(OpticalFrame)
 
     def cavity_decay(self) -> float:
         """Angular kappa: explicit kappa_ghz wins over the Q-derived value."""
@@ -164,19 +163,11 @@ class RunConfig:
         return kappa_from_q(self.optical_frame())
 
     def cqed_params(self) -> CqedParams:
-        angular = {"cavity_freq": "cavity_offset_ghz", "dot_freq": "dot_offset_ghz",
-                   "coupling": "g_ghz", "dot_decay": "gamma_ghz"}
-        return self._build(
-            CqedParams, **{name: (key, TWO_PI * self[key]) for name, key in angular.items()},
-            cavity_decay=("kappa_ghz" if self["kappa_ghz"] > 0.0 else "q_factor",
-                          self.cavity_decay()),
-            amplitude="amplitude", background="background")
+        key = "kappa_ghz" if self["kappa_ghz"] > 0.0 else "q_factor"
+        return self._build(CqedParams, cavity_decay=(key, self.cavity_decay()))
 
     def drive_spec(self) -> DriveSpec:
-        return self._build(DriveSpec, v_low="v_low_v", v_high="v_high_v",
-                           frequency_mhz="drive_mhz", duty="duty",
-                           rc_cutoff_mhz="rc_cutoff_mhz", cycles="cycles",
-                           samples_per_cycle="samples_per_cycle")
+        return self._build(DriveSpec)
 
     def g_anchors(self) -> tuple[tuple[float, float], ...] | None:
         """Optional (V, angular g) anchors; None when not configured."""
@@ -268,15 +259,10 @@ def parse_config(*paths: Path | str) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     """Build every domain object once so bad values fail at parse time,
     raising DomainError with field set to the offending key."""
-    cfg.electrostatic_params()
-    cfg.stark_coefficients()
-    cfg.optical_frame()
-    cfg.cqed_params()
-    cfg.drive_spec()
-    cfg.g_anchors()
-    cfg.voltage_grid()
-    cfg.detuning_grid()
-    cfg.fit_free()
+    for build in (cfg.electrostatic_params, cfg.stark_coefficients, cfg.optical_frame,
+                  cfg.cqed_params, cfg.drive_spec, cfg.g_anchors, cfg.voltage_grid,
+                  cfg.detuning_grid, cfg.fit_free):
+        build()
     if cfg["contrast_targets"]:
         volts, ratios = zip(*cfg["contrast_targets"])
         check_array("contrast_targets voltages", volts, (2, (">=", 0.0)),

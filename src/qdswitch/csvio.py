@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_NM_NS, TWO_PI
-from .cqed import Spectrum
+from .cqed import OpticalFrame, Spectrum
 from .electrostatics import ShiftDataset
 from .errors import DomainError, IngestError
 
@@ -186,7 +186,8 @@ def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.n
     return header, np.array(rows).T.copy()
 
 
-def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float = 935.0) -> Spectrum:
+def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
+                        OpticalFrame.reference_wavelength_nm) -> Spectrum:
     """Read a two-column spectrum file into a sorted, deduplicated Spectrum.
 
     The first header name declares the mode: 'wavelength_nm' values are

@@ -17,7 +17,7 @@ from qdswitch import (
     simulate_switching,
 )
 from qdswitch.cli import main
-from qdswitch.config import parse_config
+from qdswitch.config import _KEYS, parse_config
 from qdswitch.constants import GHZ_PER_MEV
 from qdswitch.csvio import (
     WRITE_CHUNK_ROWS,
@@ -106,6 +106,84 @@ def test_config_builds_domain_objects():
     assert cfg.drive_spec().frequency_mhz == 150.0
     grid = cfg.voltage_grid()
     assert grid[0] == 0.0 and grid[-1] == pytest.approx(10.0)
+
+
+# Each key that builds a library type: a one-key config with an in-domain value
+# moves (builder, field) to the given value, or only away from its default
+# when None, and no other field of any builder.  A *_ghz key lands x 2 pi.
+_BUILDERS = ("electrostatic_params", "stark_coefficients", "optical_frame",
+             "cqed_params", "drive_spec")
+KEY_MOVES = {
+    "nd_cm3": ("1e16", {("electrostatic_params", "donor_density_cm3"): 1e16}),
+    "phi_v": ("0.5", {("electrostatic_params", "barrier_potential_v"): 0.5}),
+    "eps_r": ("13.5", {("electrostatic_params", "relative_permittivity"): 13.5}),
+    "dx_um": ("0.9", {("electrostatic_params", "electrode_distance_um"): 0.9}),
+    "dipole_mev_um_per_v": ("0.004", {("stark_coefficients", "dipole_mev_um_per_v"): 0.004}),
+    "polarizability_mev_um2_per_v2": (
+        "-0.02", {("stark_coefficients", "polarizability_mev_um2_per_v2"): -0.02}),
+    "lambda0_nm": ("950", {("optical_frame", "reference_wavelength_nm"): 950.0,
+                           ("cqed_params", "cavity_decay"): None}),
+    "q_factor": ("5000", {("optical_frame", "quality_factor"): 5000.0,
+                          ("cqed_params", "cavity_decay"): None}),
+    "kappa_ghz": ("30", {("cqed_params", "cavity_decay"): TWO_PI * 30.0}),
+    "cavity_offset_ghz": ("3", {("cqed_params", "cavity_freq"): TWO_PI * 3.0}),
+    "dot_offset_ghz": ("-2", {("cqed_params", "dot_freq"): TWO_PI * -2.0}),
+    "g_ghz": ("15", {("cqed_params", "coupling"): TWO_PI * 15.0}),
+    "gamma_ghz": ("0.2", {("cqed_params", "dot_decay"): TWO_PI * 0.2}),
+    "amplitude": ("2", {("cqed_params", "amplitude"): 2.0}),
+    "background": ("0.1", {("cqed_params", "background"): 0.1}),
+    "v_low_v": ("1", {("drive_spec", "v_low"): 1.0}),
+    "v_high_v": ("8", {("drive_spec", "v_high"): 8.0}),
+    "drive_mhz": ("200", {("drive_spec", "frequency_mhz"): 200.0}),
+    "duty": ("0.25", {("drive_spec", "duty"): 0.25}),
+    "rc_cutoff_mhz": ("80", {("drive_spec", "rc_cutoff_mhz"): 80.0}),
+    "cycles": ("12", {("drive_spec", "cycles"): 12}),
+    "samples_per_cycle": ("128", {("drive_spec", "samples_per_cycle"): 128}),
+}
+# Every other key, as config text with an in-domain value: it moves no field.
+UNBUILT = {
+    "field_sign": "field_sign = 1", "fit_field_limit_v_per_um": "fit_field_limit_v_per_um = 4",
+    "screening": "screening = 0.5", "probe_detuning_ghz": "probe_detuning_ghz = 5",
+    "g_anchor_v": "g_anchor_v = 0, 5\ng_anchor_ghz = 20, 25",
+    "g_anchor_ghz": "g_anchor_v = 1, 6\ng_anchor_ghz = 15, 25",
+    "contrast_targets": "contrast_targets = 10:1.5, 14:2", "v_start": "v_start = 1",
+    "v_stop": "v_stop = 9", "v_step": "v_step = 0.2",
+    "detuning_start_ghz": "detuning_start_ghz = -100",
+    "detuning_stop_ghz": "detuning_stop_ghz = 100",
+    "detuning_points": "detuning_points = 101", "bias_v": "bias_v = 3",
+    "active_volume_um3": "active_volume_um3 = 0.3",
+    "energy_field_v_per_um": "energy_field_v_per_um = 4", "fit_free": "fit_free = coupling",
+    "seed": "seed = 7",
+}
+
+
+def _built_fields(tmp_path, text):
+    path = tmp_path / "one.cfg"
+    path.write_text(text + "\n", encoding="utf-8")
+    cfg = parse_config(path)
+    return {(builder, name): value for builder in _BUILDERS
+            for name, value in vars(getattr(cfg, builder)()).items()}
+
+
+def test_key_tables_cover_every_config_key():
+    assert not set(KEY_MOVES) & set(UNBUILT)
+    assert set(KEY_MOVES) | set(UNBUILT) == set(_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_MOVES))
+def test_each_type_backed_key_moves_only_its_field(tmp_path, key):
+    text, moves = KEY_MOVES[key]
+    default = _built_fields(tmp_path, "")
+    built = _built_fields(tmp_path, f"{key} = {text}")
+    assert {site for site in built if built[site] != default[site]} == set(moves)
+    for site, expected in moves.items():
+        if expected is not None:
+            assert type(built[site]) is type(expected) and built[site] == expected
+
+
+@pytest.mark.parametrize("key", sorted(UNBUILT))
+def test_a_key_no_type_holds_moves_no_field(tmp_path, key):
+    assert _built_fields(tmp_path, UNBUILT[key]) == _built_fields(tmp_path, "")
 
 
 # -- CSV round trip ------------------------------------------------------------
@@ -524,6 +602,15 @@ def test_ingest_wavelength_mode_conversion(tmp_path):
     # 0.21 nm red of the reference -> about -0.2978 meV
     assert shifts_mev[0] == pytest.approx(-0.2978, rel=1e-3)
     assert shifts_mev[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_ingest_wavelength_reference_defaults_to_the_config_lambda0(tmp_path):
+    path = write_csv(tmp_path / "wl.csv", ["wavelength_nm", "intensity"],
+                     [(934.6, 0.7), (935.0, 1.0), (935.21, 0.8)])
+    default = ingest_spectrum_csv(path)
+    configured = ingest_spectrum_csv(path, parse_config()["lambda0_nm"])
+    assert default.detunings.tobytes() == configured.detunings.tobytes()
+    assert default.intensities.tobytes() == configured.intensities.tobytes()
 
 
 def test_ingest_small_wavelength_shift(tmp_path):
