@@ -4,9 +4,11 @@ Subcommands: spectrum | stark | switch | fit | metrics.  Each run reads
 a preset and/or config file and writes plot-ready CSV files into --out.
 A command only computes and returns its tables; main writes them, with
 the reproducibility manifest that lists them, through one sink, then
-prints a short summary to stdout and exits 0.  Failures exit nonzero
-(1 config, 2 numeric, 3 I/O) with a one-line JSON error record on
-stderr, print nothing to stdout, and leave --out as it was.
+prints a short summary to stdout and exits 0.  A failure exits with
+the code of the first _EXIT_CODES class it matches (1 config, 3 ingest
+or other I/O, 2 any other package or numeric error), a one-line JSON
+error record on stderr and nothing on stdout, and leaves --out as it
+was; any other exception propagates.
 
 A layer only some commands run (fitting, switching) is imported inside
 those commands, so each command loads only the modules it uses.
@@ -53,6 +55,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
+# (exception class, exit code), in order: the first class a failure matches wins.
+_EXIT_CODES = ((ConfigError, EXIT_CONFIG), (IngestError, EXIT_IO),
+               (QdSwitchError, EXIT_NUMERIC), (OSError, EXIT_IO),
+               (ValueError, EXIT_NUMERIC), (ArithmeticError, EXIT_NUMERIC),
+               (MemoryError, EXIT_NUMERIC), (np.linalg.LinAlgError, EXIT_NUMERIC))
 
 # A calibration is applied only when it converged and its residual norm
 # (in on/off-ratio units) is at most this fraction of the largest target.
@@ -112,8 +119,8 @@ def _calibrated_cqed(cfg: RunConfig):
 
 class _Table(NamedTuple):
     """A CSV a command returns: file name, header, and either key/value rows
-    or one 1-D array per header name.  Columns that are all float are
-    written as columns, with periods as write_csv takes them; others, as rows."""
+    or one 1-D array per header name, with periods as write_csv takes them
+    (they apply only when every column is float)."""
 
     name: str
     header: list[str]
@@ -308,12 +315,8 @@ def main(argv: list[str] | None = None) -> int:
               seed=cfg["seed"], inputs=inputs, config_values=cfg.values, extra=extra)
         print("\n".join(summary))
         return EXIT_OK
-    except QdSwitchError as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         return _fail(exc)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
-    except (ValueError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
-        return _fail(exc, EXIT_NUMERIC)
 
 
 def _emit(out_dir: Path, tables: list[_Table], **record) -> None:
@@ -332,8 +335,7 @@ def _emit(out_dir: Path, tables: list[_Table], **record) -> None:
                         check_value(f"{table.header[0]} {row[0]}", cell, "finite")
         else:
             for name, column in zip(table.header, table.columns):
-                if column.dtype.kind == "f":
-                    check_array(f"column {name}", column, (("finite",),))
+                check_array(f"column {name}", column, (("finite",),))
     created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -341,8 +343,6 @@ def _emit(out_dir: Path, tables: list[_Table], **record) -> None:
                                          ignore_cleanup_errors=True) as staging:
             stage, written = Path(staging), []
             for name, header, rows, columns, periods in tables:
-                if columns is not None and any(c.dtype.kind != "f" for c in columns):
-                    rows, columns = zip(*columns), None  # flags keep format_value's text
                 written.append(write_csv(stage / name, header, rows, columns=columns,
                                          periods=periods))
             manifest = write_manifest(stage, outputs=written, **record)
@@ -357,16 +357,10 @@ def _emit(out_dir: Path, tables: list[_Table], **record) -> None:
                 path.rmdir()
 
 
-def _fail(exc: Exception, code: int | None = None) -> int:
+def _fail(exc: Exception) -> int:
     import json
 
-    if code is None:
-        if isinstance(exc, ConfigError):
-            code = EXIT_CONFIG
-        elif isinstance(exc, IngestError):
-            code = EXIT_IO
-        else:
-            code = EXIT_NUMERIC
+    code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     record = {"error_code": code, "error_class": type(exc).__name__,
               "message": str(exc)}
     print(json.dumps(record), file=sys.stderr)

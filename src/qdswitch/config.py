@@ -187,8 +187,11 @@ class RunConfig:
         start, stop, step = self["v_start"], self["v_stop"], self["v_step"]
         if stop < start:
             raise DomainError(f"v_stop must be >= v_start, got {stop}", field="v_stop")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return start + step * np.arange(n)
+        span = (stop - start) / step + 1e-9
+        if not 8.0 * (span + 1.0) <= sys.maxsize:  # a float64 grid numpy can index
+            raise DomainError(f"v_step must give at most {sys.maxsize // 8} grid points "
+                              f"from v_start to v_stop, got {span + 1.0:g}", field="v_step")
+        return start + step * np.arange(int(math.floor(span)) + 1)
 
     def detuning_grid(self) -> np.ndarray:
         """Angular grid from the ordinary-GHz config window."""

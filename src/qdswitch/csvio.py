@@ -4,8 +4,8 @@ Files are UTF-8, comma separated, newline terminated, always with a
 header row.  Floats are written as repr(float(v)), Python's shortest
 round-trip representation, so emit-then-ingest recovers values exactly;
 output is byte-identical across reruns of the same configuration.
-Float columns, and chunks of rows that hold only floats, are formatted
-by floattext's array kernel, with the same bytes as repr.
+Columns that are all float, and chunks of rows that hold only floats,
+are formatted by floattext's array kernel, with the same bytes as repr.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT_NM_NS, TWO_PI
 from .cqed import OpticalFrame, Spectrum
 from .electrostatics import ShiftDataset
-from .errors import DomainError, IngestError
+from .errors import DomainError, IngestError, check_array
 
 SPECTRUM_WAVELENGTH_HEADER = "wavelength_nm"
 SPECTRUM_DETUNING_HEADER = "detuning_GHz"
@@ -47,12 +47,12 @@ def write_csv(path: Path | str, header: Sequence[str],
               periods: Sequence[int | None] = ()) -> Path:
     """Write rows under a mandatory header, WRITE_CHUNK_ROWS at a time;
     returns the path.  Give either rows (a 2-D array may stand for them),
-    or columns: one equal-length 1-D float array per header name, written
-    without being stacked.  periods[k], when set, is the row count after
-    which column k repeats: a column holding two or more periods has one
-    period formatted, once.  The bytes are format_value's, value by value.
-    A row of the wrong width, or columns or an array of the wrong shape,
-    raises and leaves no file."""
+    or columns: one equal-length 1-D array of any dtype per header name.
+    All-float columns are written without being stacked, and periods[k],
+    when set, is the row count after which column k repeats: a column
+    holding two or more periods has one period formatted, once.  The
+    bytes are format_value's, value by value.  A row of the wrong width,
+    or columns or an array of the wrong shape, raises and leaves no file."""
     if not header:
         raise DomainError("CSV header must not be empty")
     path = Path(path)
@@ -63,19 +63,20 @@ def write_csv(path: Path | str, header: Sequence[str],
         if rows.ndim != 2 or rows.shape[1] != width:
             raise DomainError(f"CSV array of shape {rows.shape} does not match "
                               f"a {width}-column header")
-        if rows.dtype.kind == "f":
-            columns = list(rows.T)
+        columns = list(rows.T)
     if columns is not None:
-        columns = [np.asarray(column, dtype=np.float64) for column in columns]
+        columns = [np.asarray(column) for column in columns]
         shapes = {column.shape for column in columns}
         if len(columns) != width or len(shapes) != 1 or len(shapes.pop()) != 1:
             raise DomainError(f"CSV columns of shapes {[c.shape for c in columns]} do not "
                               f"match a {width}-column header")
+        if any(column.dtype.kind != "f" for column in columns):
+            rows, columns = zip(*columns), None
     try:
         with path.open("wb") as f:
             f.write((",".join(header) + "\n").encode("utf-8"))
             if columns is not None:
-                _write_floats(f, columns, periods)
+                _write_floats(f, [c.astype(np.float64, copy=False) for c in columns], periods)
             else:
                 _write_rows(f, iter(rows), width)
     except BaseException:
@@ -86,17 +87,15 @@ def write_csv(path: Path | str, header: Sequence[str],
 
 def _write_rows(f, rows, width: int) -> None:
     """Each chunk of all-float rows goes to _write_float_rows; any other
-    chunk has each column's formatter picked once from the types it holds."""
+    chunk is formatted by format_value, a row at a time."""
     while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
         if set(map(len, chunk)) != {width}:
             raise DomainError("CSV row width differs from header")
         if set(map(type, chain.from_iterable(chunk))) <= _REPR_TYPES:
             _write_float_rows(f, chunk, width)
         else:
-            cells = [list(map(float.__repr__ if set(map(type, column)) <= _REPR_TYPES
-                              else format_value, column))
-                     for column in zip(*chunk)]
-            f.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
+            f.write("".join(",".join(map(format_value, row)) + "\n" for row in chunk)
+                    .encode("utf-8"))
 
 
 def _write_float_rows(f, chunk: list, width: int) -> None:
@@ -209,19 +208,20 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
         dlam = x - reference_wavelength_nm
         x = -SPEED_OF_LIGHT_NM_NS * dlam / reference_wavelength_nm ** 2  # ordinary GHz
     x = TWO_PI * x  # angular GHz
-
-    order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
-    # A point within 1e-12 (relative) of its sorted predecessor repeats it;
-    # a run of such points is one grid point, kept at its first member.
-    repeat = np.append(False, np.abs(np.diff(x)) <= 1e-12 * np.maximum(np.abs(x[1:]), 1.0))
-    if repeat.any():
-        y_kept = y[np.maximum.accumulate(np.where(repeat, 0, np.arange(x.size)))]
-        tol = 1e-9 * np.maximum(np.maximum(np.abs(y), np.abs(y_kept)), 1.0)
-        if np.any(repeat & (np.abs(y - y_kept) > tol)):
-            raise IngestError(f"{path}: conflicting intensities for duplicated grid point")
-        x, y = x[~repeat], y[~repeat]
     try:
+        # Before the merge below: its relative tolerance takes inf for a repeat.
+        check_array("detunings", x, (("finite",),))
+        order = np.argsort(x, kind="stable")
+        x, y = x[order], y[order]
+        # A point within 1e-12 (relative) of its sorted predecessor repeats it;
+        # a run of such points is one grid point, kept at its first member.
+        repeat = np.append(False, np.abs(np.diff(x)) <= 1e-12 * np.maximum(np.abs(x[1:]), 1.0))
+        if repeat.any():
+            y_kept = y[np.maximum.accumulate(np.where(repeat, 0, np.arange(x.size)))]
+            tol = 1e-9 * np.maximum(np.maximum(np.abs(y), np.abs(y_kept)), 1.0)
+            if np.any(repeat & (np.abs(y - y_kept) > tol)):
+                raise IngestError(f"{path}: conflicting intensities for duplicated grid point")
+            x, y = x[~repeat], y[~repeat]
         return Spectrum(x, y)
     except DomainError as exc:
         raise IngestError(f"{path}: {exc}") from exc

@@ -71,10 +71,6 @@ class FitResult:
 def _levenberg_marquardt(
     problem: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     x0: np.ndarray,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-    rel_tol: float = REL_RESIDUAL_TOL,
-    grad_tol: float = GRADIENT_TOL,
 ) -> tuple[np.ndarray, float, bool, int, np.ndarray]:
     """Damped Gauss-Newton minimization of |r(x)|^2.
 
@@ -92,9 +88,9 @@ def _levenberg_marquardt(
     iterations = 0
     j = jacobian()
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         g = j.T @ r
-        if np.abs(g).max() <= grad_tol:
+        if np.abs(g).max() <= GRADIENT_TOL:
             converged = True
             iterations -= 1
             break
@@ -123,13 +119,13 @@ def _levenberg_marquardt(
         drop = cost - cost_new
         x, r, cost = x_new, r_new, cost_new
         j = jacobian_new()
-        if drop <= rel_tol * max(cost, 1e-300):
+        if drop <= REL_RESIDUAL_TOL * max(cost, 1e-300):
             converged = True
             break
 
     if not converged:
         # Final gradient check catches the start-at-optimum case.
-        if np.abs(j.T @ r).max() <= grad_tol:
+        if np.abs(j.T @ r).max() <= GRADIENT_TOL:
             converged = True
     return x, math.sqrt(cost), converged, iterations, j.T @ j
 

@@ -290,22 +290,25 @@ def test_drive_spec_rejects_a_non_finite_size_naming_it(name, bad):
     assert info.value.field == name
 
 
-# key -> (dataclass, field) for each default written both in config._KEYS and on
-# the field itself; the two copies must agree until one of them is deleted.
-SHARED_DEFAULTS = {
-    "duty": (DriveSpec, "duty"),
-    "rc_cutoff_mhz": (DriveSpec, "rc_cutoff_mhz"),
-    "cycles": (DriveSpec, "cycles"),
-    "samples_per_cycle": (DriveSpec, "samples_per_cycle"),
-    "amplitude": (CqedParams, "amplitude"),
-    "background": (CqedParams, "background"),
-    "lambda0_nm": (OpticalFrame, "reference_wavelength_nm"),
+# key -> (RunConfig builder, field) for each key that takes its default from
+# the dataclass field it builds.
+FIELD_DEFAULTS = {
+    "duty": ("drive_spec", "duty"),
+    "rc_cutoff_mhz": ("drive_spec", "rc_cutoff_mhz"),
+    "cycles": ("drive_spec", "cycles"),
+    "samples_per_cycle": ("drive_spec", "samples_per_cycle"),
+    "amplitude": ("cqed_params", "amplitude"),
+    "background": ("cqed_params", "background"),
+    "lambda0_nm": ("optical_frame", "reference_wavelength_nm"),
 }
 
 
-@pytest.mark.parametrize("key", sorted(SHARED_DEFAULTS))
-def test_config_default_agrees_with_its_dataclass_field(key):
-    cls, name = SHARED_DEFAULTS[key]
-    default = {f.name: f.default for f in fields(cls)}[name]
-    assert type(_KEYS[key][1]) is type(default)
-    assert _KEYS[key][1] == default
+@pytest.mark.parametrize("key", sorted(FIELD_DEFAULTS))
+def test_config_default_builds_its_dataclass_default(key):
+    # With no config file, the builder makes the field at the dataclass
+    # default, of the same type: the key reaches that field, unscaled.
+    builder, name = FIELD_DEFAULTS[key]
+    built = getattr(parse_config(), builder)()
+    default = {f.name: f.default for f in fields(type(built))}[name]
+    assert type(getattr(built, name)) is type(default)
+    assert getattr(built, name) == default

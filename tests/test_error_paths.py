@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qdswitch import (
+    ConfigError,
     CqedParams,
     DegenerateFitError,
     DomainError,
@@ -56,6 +57,20 @@ CLI_FAILURES = {
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
         {"d.csv": "detuning_GHz,intensity\n0,1\n1,-1\n"},
         3, "IngestError", "{tmp}/d.csv:3: negative intensity"),
+    "nan intensity": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/n.csv"],
+        {"n.csv": SPECTRUM_TEXT + "2,nan\n"},
+        3, "IngestError", "{tmp}/n.csv: intensities must be finite, got nan"),
+    # An inf point is checked before duplicates merge, within whose relative
+    # tolerance it would repeat its neighbour: dropped, or a false conflict.
+    "inf detuning, its neighbour's intensity": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
+        {"d.csv": SPECTRUM_TEXT + "inf,0.5\n"},
+        3, "IngestError", "{tmp}/d.csv: detunings must be finite, got inf"),
+    "inf detuning, another intensity": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
+        {"d.csv": SPECTRUM_TEXT + "inf,0.7\n"},
+        3, "IngestError", "{tmp}/d.csv: detunings must be finite, got inf"),
     "repeated voltage": (
         ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
         {"d.csv": "voltage_V,shift_meV\n0,0\n1,0.1\n1,0.2\n"},
@@ -82,6 +97,39 @@ def test_cli_failure_prints_one_record_and_nothing_else(tmp_path, capsys, case):
     assert not list(out.glob("*.csv"))
     assert not (out / MANIFEST_NAME).exists()
     assert _left_in(out) == {}
+
+
+EXIT_TABLE = [
+    (ConfigError("c"), 1), (IngestError("i"), 3), (DomainError("d"), 2),
+    (DegenerateFitError("f"), 2), (OSError("o"), 3), (FileNotFoundError("n"), 3),
+    (ValueError("v"), 2), (OverflowError("math range error"), 2), (ZeroDivisionError("z"), 2),
+    (MemoryError("m"), 2), (np.linalg.LinAlgError("Singular matrix"), 2),
+]
+
+
+@pytest.mark.parametrize("exc, code", EXIT_TABLE, ids=[type(e).__name__ for e, _ in EXIT_TABLE])
+def test_cli_exit_code_is_the_first_matching_class(tmp_path, capsys, monkeypatch, exc, code):
+    def command(cfg, args):
+        raise exc
+    monkeypatch.setitem(cli._COMMANDS, "metrics", command)
+    out = tmp_path / "o"
+    assert main(["metrics", "--preset", "paper", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error_code": code, "error_class": type(exc).__name__,
+                                        "message": str(exc)}
+    assert _left_in(out) == {}
+
+
+@pytest.mark.parametrize("exc", [TypeError("t"), KeyError("k")], ids=["TypeError", "KeyError"])
+def test_cli_lets_a_class_outside_the_exit_table_propagate(tmp_path, capsys, monkeypatch, exc):
+    def command(cfg, args):
+        raise exc
+    monkeypatch.setitem(cli._COMMANDS, "metrics", command)
+    with pytest.raises(type(exc)):
+        main(["metrics", "--preset", "paper", "--out", str(tmp_path / "o")])
+    assert capsys.readouterr() == ("", "")
 
 
 def _left_in(out):

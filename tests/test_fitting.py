@@ -59,7 +59,7 @@ def test_stark_fit_degenerate_below_onset(device_elec):
         fit_stark_curve(ShiftDataset(volts, np.zeros_like(volts)), device_elec)
 
 
-def test_stark_fit_matches_iterative_least_squares(device_elec, device_stark):
+def test_stark_fit_matches_iterative_least_squares(device_elec, device_stark, monkeypatch):
     rng = np.random.default_rng(7)
     volts = np.linspace(0.0, 12.0, 25)
     shifts = stark_model(device_elec, device_stark, volts) \
@@ -70,9 +70,12 @@ def test_stark_fit_matches_iterative_least_squares(device_elec, device_stark):
     fields = np.array([-field_at_cavity(device_elec, v) for v in volts])
     design = np.column_stack([fields, -fields ** 2])
 
+    from qdswitch import fitting
+    monkeypatch.setattr(fitting, "REL_RESIDUAL_TOL", 1e-16)
+    monkeypatch.setattr(fitting, "GRADIENT_TOL", 1e-14)
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 5000)
     x, *_ = _levenberg_marquardt(lambda x: (design @ x - shifts, lambda: design),
-                                 np.zeros(2), rel_tol=1e-16, grad_tol=1e-14,
-                                 max_iterations=5000)
+                                 np.zeros(2))
     assert closed.parameters["dipole_mev_um_per_v"] == pytest.approx(x[0], rel=1e-10)
     assert closed.parameters["polarizability_mev_um2_per_v2"] \
         == pytest.approx(x[1], rel=1e-10)
@@ -262,13 +265,14 @@ def test_contrast_fit_rejects_non_finite_targets(device_elec, device_stark, devi
 
 # -- optimizer ----------------------------------------------------------------------
 
-def test_lm_reports_non_convergence():
+def test_lm_reports_non_convergence(monkeypatch):
     def problem(x):
         return (np.array([math.exp(x[0]) - 5.0, x[0] ** 3 - 2.0]),
                 lambda: np.array([[math.exp(x[0])], [3.0 * x[0] ** 2]]))
 
-    _, _, converged, iterations, _ = _levenberg_marquardt(
-        problem, np.array([10.0]), max_iterations=1)
+    from qdswitch import fitting
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    _, _, converged, iterations, _ = _levenberg_marquardt(problem, np.array([10.0]))
     assert not converged
     assert iterations == 1
 

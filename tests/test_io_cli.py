@@ -549,6 +549,29 @@ def test_write_csv_takes_rows_or_columns(tmp_path):
     assert not (tmp_path / "bad.csv").exists()
 
 
+def test_write_csv_needs_a_header(tmp_path):
+    with pytest.raises(DomainError, match="header must not be empty"):
+        write_csv(tmp_path / "bad.csv", [], columns=[])
+    assert not (tmp_path / "bad.csv").exists()
+
+
+_FLOATS = _sorted_edges(WRITE_CHUNK_ROWS + 37)
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array([1, 2]), np.array([True, False])],
+    [np.arange(-3, WRITE_CHUNK_ROWS + 34, dtype=np.int64), _FLOATS > 0.0],
+    [_FLOATS, _FLOATS > 1.0],
+    [np.array([0.1, -0.0, 3e38, math.inf, math.nan], dtype=np.float32),
+     np.array([1e-4, 5e-324, 2.5, -1.0, 1e16])],
+    [np.array(["weak", "strong"]), np.array([0.1, 0.2])],
+], ids=["int and bool", "int64 and bool, two chunks", "float and bool, two chunks",
+        "float32 and float64", "text and float"])
+def test_write_csv_columns_of_any_dtype_give_per_value_bytes(tmp_path, columns):
+    path = write_csv(tmp_path / "t.csv", ["a", "b"], columns=columns)
+    assert path.read_bytes() == _formatted(["a", "b"], zip(*columns))
+
+
 def test_cli_switch_peak_memory_stays_near_the_trace(tmp_path):
     # The model runs on one cycle, the command writes the trace's two columns as
     # they are, and neither the CSV writer nor the manifest hash holds more
@@ -1085,6 +1108,36 @@ def test_cli_unallocatable_size_is_a_numeric_error(tmp_path, capsys, command, ov
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error_code"] == 2
     assert "Unable to allocate" in record["message"]
+
+
+# The stark grid's point count, (v_stop - v_start) / v_step + 1, is bounded at
+# load: one that is not finite, or whose float64 grid would exceed sys.maxsize
+# bytes, names v_step.  2**47 and 2**59 points pass that bound and are refused
+# by numpy up front, past the 47-bit address space.
+@pytest.mark.parametrize("command", ["metrics", "stark"])
+@pytest.mark.parametrize("overrides, code", [
+    ("v_step = 1e-310", 1),
+    ("v_stop = 1e200", 1),
+    ("v_stop = 1e308", 1),
+    ("v_step = 1\nv_stop = 1152921504606846976", 1),
+    ("v_step = 1\nv_stop = 576460752303423488", 2),
+    ("v_step = 7.105427357601002e-14\nv_stop = 10", 2),
+], ids=["infinite count", "finite count past the bound", "v_stop at 1e308",
+        "2**60 + 1 points", "2**59 + 1 points", "2**47 points"])
+def test_cli_voltage_grid_size_is_bounded_at_load(tmp_path, capsys, command, overrides, code):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(overrides + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli(command, "--preset", "paper", "--config", str(cfg), "--out", str(out)) == code
+    record = json.loads(capsys.readouterr().err.strip())
+    if code == 1:
+        assert record["error_class"] == "ConfigError"
+        assert record["message"].startswith("v_step must give at most ")
+        assert record["message"].endswith("(config key v_step)")
+    else:
+        assert record["error_class"] == "MemoryError"
+        assert "Unable to allocate" in record["message"]
+    assert not out.exists()
 
 
 def test_cli_unknown_preset_is_a_config_error(tmp_path, capsys):
