@@ -10,6 +10,9 @@ or other I/O, 2 any other package or numeric error), a one-line JSON
 error record on stderr and nothing on stdout, and leaves --out as it
 was; any other exception propagates.
 
+run() is the process entry of both `qdswitch` and `python -m
+qdswitch.cli`; main(argv) is the in-process API and changes no GC state.
+
 A layer only some commands run (fitting, switching) is imported inside
 those commands, so each command loads only the modules it uses.
 """
@@ -17,6 +20,7 @@ those commands, so each command loads only the modules it uses.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -367,5 +371,14 @@ def _fail(exc: Exception) -> int:
     return code
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Run main on sys.argv and exit the process with its code.  The
+    objects alive now (numpy's and qdswitch's import-time heap) move to
+    the permanent generation first, so no cyclic-GC pass, the last ones at
+    shutdown included, walks them; what main creates is still collected."""
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -204,13 +204,23 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
         bad = int(np.argmax(y < 0.0)) + 2
         raise IngestError(f"{path}:{bad}: negative intensity")
 
-    if mode == SPECTRUM_WAVELENGTH_HEADER:
-        dlam = x - reference_wavelength_nm
-        x = -SPEED_OF_LIGHT_NM_NS * dlam / reference_wavelength_nm ** 2  # ordinary GHz
-    x = TWO_PI * x  # angular GHz
+    given = x
+    with np.errstate(over="ignore"):  # an overflow is named by its line below
+        if mode == SPECTRUM_WAVELENGTH_HEADER:
+            dlam = x - reference_wavelength_nm
+            x = -SPEED_OF_LIGHT_NM_NS * dlam / reference_wavelength_nm ** 2  # ordinary GHz
+        x = TWO_PI * x  # angular GHz
     try:
         # Before the merge below: its relative tolerance takes inf for a repeat.
         check_array("detunings", x, (("finite",),))
+    except DomainError as exc:
+        overflow = np.isinf(x) & np.isfinite(given)
+        if overflow.any():
+            bad = int(np.argmax(overflow))
+            raise IngestError(f"{path}:{bad + 2}: {mode} {float(given[bad])!r} overflows "
+                              f"in the conversion to angular detuning") from None
+        raise IngestError(f"{path}: {exc}") from exc
+    try:
         order = np.argsort(x, kind="stable")
         x, y = x[order], y[order]
         # A point within 1e-12 (relative) of its sorted predecessor repeats it;

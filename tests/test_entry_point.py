@@ -1,0 +1,97 @@
+"""The process entry point: `qdswitch` and `python -m qdswitch.cli` both go
+through cli.run(), which freezes the import-time heap and exits with
+main's code.  main(argv), the in-process API, changes no GC state and
+gives the same bytes as a process run."""
+
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qdswitch
+from qdswitch import cli
+from qdswitch.manifest import MANIFEST_NAME
+
+SRC = Path(qdswitch.__file__).resolve().parents[1]
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    """Every file the run left in out; the manifest without the lines that
+    differ between two identical runs (its timestamp and input paths)."""
+    if not out.is_dir():
+        return {}
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    if MANIFEST_NAME in files:
+        files[MANIFEST_NAME] = b"".join(
+            line for line in files[MANIFEST_NAME].splitlines(keepends=True)
+            if not line.startswith(b"created_utc = ")
+            and not (line.startswith(b"input.") and b".path = " in line))
+    return files
+
+
+@pytest.mark.parametrize("argv", [["metrics"], ["switch"], ["fit", "--kind", "contrast"]],
+                         ids=" ".join)
+def test_main_changes_no_gc_state(tmp_path, capsys, argv):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert cli.main([*argv, "--preset", "paper", "--out", str(tmp_path / "o")]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+# case -> (command line after "qdswitch", with {tmp} for the work directory;
+#          {file name: text} written there first; exit code)
+RUNS = {
+    "metrics": (["metrics"], {}, 0),
+    "rejected key": (["metrics", "--config", "{tmp}/bad.cfg"], {"bad.cfg": "nd_cm3 = -1\n"}, 1),
+    "missing data file": (["fit", "--kind", "spectrum", "--data", "{tmp}/missing.csv"], {}, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_module_run_matches_main(tmp_path, capsys, case):
+    command, files, code = RUNS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [part.format(tmp=tmp_path) for part in command] + ["--preset", "paper"]
+
+    assert cli.main(argv + ["--out", str(tmp_path / "main")]) == code
+    captured = capsys.readouterr()
+    proc = fresh_python("-m", "qdswitch.cli", *argv, "--out", str(tmp_path / "module"))
+
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert _outputs(tmp_path / "module") == _outputs(tmp_path / "main")
+    assert (MANIFEST_NAME in _outputs(tmp_path / "main")) == (code == 0)
+
+
+# Calls cli.run() as the console script does; an atexit hook reports the
+# GC state the interpreter shuts down with.
+RUN = """
+import atexit, gc, sys
+from qdswitch import cli
+atexit.register(lambda: print("gc", gc.get_freeze_count(), gc.isenabled()))
+sys.argv = ["qdswitch", *sys.argv[1:]]
+cli.run()
+"""
+
+
+def test_run_freezes_the_import_heap_and_exits_with_mains_code(tmp_path):
+    proc = fresh_python("-c", RUN, "metrics", "--preset", "paper", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    _, count, enabled = proc.stdout.splitlines()[-1].split()
+    assert int(count) > 0
+    assert enabled == "True"
+    assert (tmp_path / "o" / "metrics.csv").is_file()
+
+
+def test_console_script_enters_through_run():
+    text = PYPROJECT.read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert section.strip().splitlines() == ['qdswitch = "qdswitch.cli:run"']

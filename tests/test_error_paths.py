@@ -71,6 +71,17 @@ CLI_FAILURES = {
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
         {"d.csv": SPECTRUM_TEXT + "inf,0.7\n"},
         3, "IngestError", "{tmp}/d.csv: detunings must be finite, got inf"),
+    # A finite value whose conversion to angular detuning overflows names its line.
+    "detuning overflows": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
+        {"d.csv": SPECTRUM_TEXT + "1e308,0.5\n"},
+        3, "IngestError",
+        "{tmp}/d.csv:5: detuning_GHz 1e+308 overflows in the conversion to angular detuning"),
+    "wavelength detuning overflows": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
+        {"d.csv": "wavelength_nm,intensity\n935,0.5\n1e308,0.5\n935.1,0.1\n"},
+        3, "IngestError",
+        "{tmp}/d.csv:3: wavelength_nm 1e+308 overflows in the conversion to angular detuning"),
     "repeated voltage": (
         ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
         {"d.csv": "voltage_V,shift_meV\n0,0\n1,0.1\n1,0.2\n"},
@@ -285,9 +296,14 @@ def test_library_rejects_bad_input(case):
     (ingest_spectrum_csv, " \n\r\n", "d.csv: empty file$"),
     (ingest_spectrum_csv, "\r\n\r\ndetuning_GHz,intensity\r\n\r\n0,1\r\n1,x\r\n",
      "d.csv:3: non-numeric value$"),
+    (ingest_spectrum_csv, "detuning_GHz,intensity\n0,1\n-1e308,1\n",
+     r"d.csv:3: detuning_GHz -1e\+308 overflows in the conversion to angular detuning$"),
+    (ingest_spectrum_csv, "wavelength_nm,intensity\n1e308,1\n935,1\n",
+     r"d.csv:2: wavelength_nm 1e\+308 overflows in the conversion to angular detuning$"),
 ], ids=["wrong-width header", "no data rows", "no data rows, header without newline",
         "no data rows, CRLF and blank lines", "no data rows, whitespace-only lines",
-        "only blank lines", "malformed row after blank lines"])
+        "only blank lines", "malformed row after blank lines",
+        "finite detuning that overflows", "finite wavelength whose detuning overflows"])
 def test_ingest_rejects_a_malformed_file(tmp_path, ingest, text, message):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
