@@ -24,9 +24,8 @@ _EXPORTS = {
                        "voltage_to_detuning"),
     "errors": ("AdiabaticityWarning", "ConfigError", "DegenerateFitError",
                "DegenerateTraceError", "DomainError", "IngestError", "QdSwitchError"),
-    "fitting": ("FitResult", "dc_contrast", "dot_decay_from_contrast", "fit_contrast",
-                "fit_spectrum", "fit_stark_curve", "reflectivity_model_jacobian",
-                "stark_model"),
+    "fitting": ("FitResult", "dc_contrast", "fit_contrast", "fit_spectrum",
+                "fit_stark_curve", "reflectivity_model_jacobian", "stark_model"),
     "switching": ("EnergyBudget", "TimeTrace", "drive_samples", "on_off_ratio",
                   "rc_response", "simulate_switching", "switching_energy"),
 }

@@ -273,12 +273,13 @@ def _cmd_fit(cfg: RunConfig, args) -> _Written:
     return [table], extra, summary
 
 
+# name -> (handler, help), in the order --help lists them
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "stark": _cmd_stark,
-    "switch": _cmd_switch,
-    "fit": _cmd_fit,
-    "metrics": _cmd_metrics,
+    "spectrum": (_cmd_spectrum, "reflectivity and PL spectra on the configured grid"),
+    "stark": (_cmd_stark, "depletion, field, and shift sweep over bias"),
+    "switch": (_cmd_switch, "calibrated time-domain switching trace and on/off ratio"),
+    "fit": (_cmd_fit, "least-squares parameter recovery from data or targets"),
+    "metrics": (_cmd_metrics, "scalar figures of merit"),
 }
 
 
@@ -290,13 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "reflectivity and PL spectra on the configured grid"),
-        ("stark", "depletion, field, and shift sweep over bias"),
-        ("switch", "calibrated time-domain switching trace and on/off ratio"),
-        ("fit", "least-squares parameter recovery from data or targets"),
-        ("metrics", "scalar figures of merit"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="config file overlaying the preset/defaults")
         p.add_argument("--preset", help="named built-in preset (e.g. 'paper')")
@@ -313,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, inputs = _load(args)
-        tables, extra, summary = _COMMANDS[args.command](cfg, args)
+        tables, extra, summary = _COMMANDS[args.command][0](cfg, args)
         command = f"fit:{args.kind}" if args.command == "fit" else args.command
         _emit(Path(args.out), tables, command=command, version=__version__,
               seed=cfg["seed"], inputs=inputs, config_values=cfg.values, extra=extra)

@@ -250,7 +250,7 @@ def parse_config(*paths: Path | str) -> RunConfig:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
-        values.update(parse_assignments(p.read_text(encoding="utf-8"), str(p)))
+        values.update(parse_assignments(p.read_text(encoding="utf-8-sig"), str(p)))
     cfg = RunConfig(values=values)
     try:
         _validate(cfg)

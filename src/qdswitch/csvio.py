@@ -153,7 +153,7 @@ def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.n
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"data file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     first = next((k for k, line in enumerate(lines) if line.strip()), None)
     if first is None:
         raise IngestError(f"{path}: empty file")

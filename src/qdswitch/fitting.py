@@ -78,27 +78,27 @@ def _levenberg_marquardt(
     the same model evaluation that formed r; it is called only at the
     start and at accepted points.  Returns (x, residual_norm, converged,
     iterations, JtJ at x).  Damping is adapted multiplicatively: shrink
-    on accepted steps, grow on rejected ones.
+    on accepted steps, grow on rejected ones.  A solve ends converged
+    when the gradient is flat at the top of a pass or an accepted step
+    drops the cost by at most REL_RESIDUAL_TOL of it, and unconverged
+    when 40 damping tries find no lower cost or MAX_ITERATIONS passes
+    are spent; iterations counts the passes that tried a step.
     """
     x = np.asarray(x0, dtype=float).copy()
     r, jacobian = problem(x)
     cost = float(r @ r)
     lam = 1e-3
-    converged = False
-    iterations = 0
     j = jacobian()
 
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        g = j.T @ r
+    for iterations in range(MAX_ITERATIONS + 1):
+        g, jtj = j.T @ r, j.T @ j
         if np.abs(g).max() <= GRADIENT_TOL:
-            converged = True
-            iterations -= 1
+            return x, math.sqrt(cost), True, iterations, jtj
+        if iterations == MAX_ITERATIONS:
             break
-        jtj = j.T @ j
         diag = jtj.diagonal().copy()
         diag[diag <= 0.0] = 1.0
         damped, descent = jtj.copy(), -g
-        accepted = False
         for _ in range(40):
             np.fill_diagonal(damped, jtj.diagonal() + lam * diag)
             try:
@@ -110,24 +110,17 @@ def _levenberg_marquardt(
             r_new, jacobian_new = problem(x_new)
             cost_new = float(r_new @ r_new)
             if math.isfinite(cost_new) and cost_new <= cost:
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
-            break
+        else:
+            return x, math.sqrt(cost), False, iterations + 1, jtj
         lam = max(lam * 0.3, 1e-14)
         drop = cost - cost_new
         x, r, cost = x_new, r_new, cost_new
         j = jacobian_new()
         if drop <= REL_RESIDUAL_TOL * max(cost, 1e-300):
-            converged = True
-            break
-
-    if not converged:
-        # Final gradient check catches the start-at-optimum case.
-        if np.abs(j.T @ r).max() <= GRADIENT_TOL:
-            converged = True
-    return x, math.sqrt(cost), converged, iterations, j.T @ j
+            return x, math.sqrt(cost), True, iterations + 1, j.T @ j
+    return x, math.sqrt(cost), False, MAX_ITERATIONS, jtj
 
 
 def _covariance_diag(jtj: np.ndarray, residual_norm: float, n_points: int) -> np.ndarray | None:
@@ -298,7 +291,8 @@ def fit_spectrum(
 
     free names a subset of the CqedParams fields; the rest stay at their
     initial values.  Non-convergence is reported through the result
-    flag, not raised.
+    flag, but a trial step whose rate overflows math.exp (OverflowError)
+    or underflows to zero (DomainError) still raises.
     """
     names = list(dict.fromkeys(free))
     unknown = [n for n in names if n not in _CQED_FIELDS]
@@ -317,19 +311,6 @@ def fit_spectrum(
 
 # ---------------------------------------------------------------------------
 # DC contrast calibration
-
-def dot_decay_from_contrast(ratio: float, coupling: float, cavity_decay: float) -> float:
-    """Invert one fully detuned on/off ratio into an effective dot decay.
-
-    r = (1 + C)^2 with C = g^2/(kappa gamma) gives C = sqrt(r) - 1 and
-    gamma = g^2 / (C kappa); r = 1 means no dip at all, i.e. infinite
-    broadening.
-    """
-    c = math.sqrt(check_value("on/off ratio", ratio, ">=", 1.0)) - 1.0
-    if c == 0.0:
-        return math.inf
-    return coupling ** 2 / (c * cavity_decay)
-
 
 def dc_contrast(
     elec: ElectrostaticParams,

@@ -4,6 +4,7 @@ main's code.  main(argv), the in-process API, changes no GC state and
 gives the same bytes as a process run."""
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -95,3 +96,24 @@ def test_console_script_enters_through_run():
     text = PYPROJECT.read_text(encoding="utf-8")
     section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert section.strip().splitlines() == ['qdswitch = "qdswitch.cli:run"']
+
+
+# argv -> SHA-256 of its --help text at an 80-column terminal
+HELP_SHA256 = {
+    (): "cd3b572335ff21215e189a06224925950f19f099b717bfda5f092c3094ed6c31",
+    ("spectrum",): "a2e3fbc59e8f272bd40ff9197b28cec00702e5dd643b2305bb643f32fcfbd70c",
+    ("stark",): "ba9d88561dc581464d370b22d870192ca57665e0fd7d427cb7e21f292ec24d83",
+    ("switch",): "c9c8d982f79701fda31424657b9e5b66bfc3c8d7545fefb5e19b7b4094ce2a73",
+    ("fit",): "44a0da6c344979e208e8c1448c80b457a032df3e9efafde185fb4c74d37b3cca",
+    ("metrics",): "061ef2c3493f9511091c7500ee0d06799b7073e574184147ec2d71f54ffa222b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_SHA256), ids=lambda a: " ".join(a) or "qdswitch")
+def test_help_texts_keep_their_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[argv], out

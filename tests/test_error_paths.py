@@ -122,7 +122,7 @@ EXIT_TABLE = [
 def test_cli_exit_code_is_the_first_matching_class(tmp_path, capsys, monkeypatch, exc, code):
     def command(cfg, args):
         raise exc
-    monkeypatch.setitem(cli._COMMANDS, "metrics", command)
+    monkeypatch.setitem(cli._COMMANDS, "metrics", (command, None))
     out = tmp_path / "o"
     assert main(["metrics", "--preset", "paper", "--out", str(out)]) == code
     captured = capsys.readouterr()
@@ -137,7 +137,7 @@ def test_cli_exit_code_is_the_first_matching_class(tmp_path, capsys, monkeypatch
 def test_cli_lets_a_class_outside_the_exit_table_propagate(tmp_path, capsys, monkeypatch, exc):
     def command(cfg, args):
         raise exc
-    monkeypatch.setitem(cli._COMMANDS, "metrics", command)
+    monkeypatch.setitem(cli._COMMANDS, "metrics", (command, None))
     with pytest.raises(type(exc)):
         main(["metrics", "--preset", "paper", "--out", str(tmp_path / "o")])
     assert capsys.readouterr() == ("", "")

@@ -11,7 +11,6 @@ from qdswitch import (
     DomainError,
     ShiftDataset,
     Spectrum,
-    dot_decay_from_contrast,
     fit_contrast,
     fit_spectrum,
     fit_stark_curve,
@@ -19,6 +18,7 @@ from qdswitch import (
     reflectivity_spectrum,
     stark_model,
 )
+from qdswitch import fitting
 from qdswitch.fitting import _covariance_diag, _levenberg_marquardt
 
 TWO_PI = 2.0 * math.pi
@@ -211,21 +211,6 @@ def test_analytic_jacobian_matches_central_differences():
 
 # -- contrast calibration ----------------------------------------------------------
 
-def test_single_ratio_inversion():
-    gamma = dot_decay_from_contrast(1.5, TWO_PI * 20.0, TWO_PI * 40.0)
-    assert gamma / TWO_PI == pytest.approx(44.5, abs=0.1)
-    # consistency: the implied cooperativity reproduces the ratio
-    c = (TWO_PI * 20.0) ** 2 / (TWO_PI * 40.0 * gamma)
-    assert (1.0 + c) ** 2 == pytest.approx(1.5, rel=1e-12)
-
-
-def test_single_ratio_boundary():
-    assert dot_decay_from_contrast(1.0, TWO_PI * 20.0, TWO_PI * 40.0) == math.inf
-    for ratio in (0.9, math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            dot_decay_from_contrast(ratio, TWO_PI * 20.0, TWO_PI * 40.0)
-
-
 def test_contrast_fit_two_targets(device_elec, device_stark, device_cqed):
     result = fit_contrast([(10.0, 1.5), (14.0, 2.0)], device_elec, device_stark,
                           device_cqed)
@@ -286,6 +271,51 @@ def test_lm_converges_on_rosenbrock_style_problem():
     assert converged
     assert norm < 1e-8
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-6)
+
+
+# One test per way a solve ends, each pinning (converged, iterations).
+_A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def _linear(b):
+    """r = A x - b: every damped step lowers the cost."""
+    b = np.array(b)
+    return lambda x: (_A @ x - b, lambda: _A)
+
+
+def _ending(problem, x0):
+    _, _, converged, iterations, _ = _levenberg_marquardt(problem, np.array(x0))
+    return converged, iterations
+
+
+def test_lm_ends_on_a_flat_gradient_at_the_start():
+    assert _ending(_linear([1.0, 2.0, 3.0]), [1.0, 2.0]) == (True, 0)
+
+
+def test_lm_ends_when_the_cost_drop_falls_below_tolerance(monkeypatch):
+    # With GRADIENT_TOL = 0 no gradient of this inconsistent system is flat,
+    # so only the cost drop can end the solve as converged.
+    monkeypatch.setattr(fitting, "GRADIENT_TOL", 0.0)
+    assert _ending(_linear([1.0, 2.0, 4.0]), [0.0, 0.0]) == (True, 3)
+
+
+def test_lm_ends_when_no_step_lowers_the_cost():
+    def problem(x):
+        r = [x[0] - 1.0] if x[0] == 0.0 else [math.nan]
+        return np.array(r), lambda: np.ones((1, 1))
+
+    assert _ending(problem, [0.0]) == (False, 1)
+
+
+def test_lm_ends_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    assert _ending(_linear([1.0, 2.0, 3.0]), [0.0, 0.0]) == (False, 1)
+
+
+def test_lm_converges_on_a_gradient_flat_after_the_last_allowed_step(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    monkeypatch.setattr(fitting, "GRADIENT_TOL", 1e-2)
+    assert _ending(_linear([1.0, 2.0, 3.0]), [0.0, 0.0]) == (True, 1)
 
 
 # -- parameter variances -------------------------------------------------------

@@ -1268,3 +1268,48 @@ def test_cli_exit_code_io_error(tmp_path, capsys):
 def test_cli_unknown_preset(tmp_path, capsys):
     code = run_cli("metrics", "--preset", "nope", "--out", str(tmp_path / "o"))
     assert code == 1
+
+
+
+def _rows(header, *columns):
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n"
+                                    for row in zip(*(c.tolist() for c in columns)))
+
+
+def _bom_cases():
+    """name -> (fit kind, data file text, config text), each without a BOM."""
+    from qdswitch import CqedParams, reflectivity_spectrum
+    truth = CqedParams(0.0, 0.0, TWO_PI * 18.0, TWO_PI * 42.0, TWO_PI * 6.0)
+    ghz = np.linspace(-120.0, 120.0, 81)
+    intensity = reflectivity_spectrum(truth, TWO_PI * ghz).intensities
+    # dlambda = -lambda0^2 dnu / c about the default lambda0 = 935 nm, c in nm GHz
+    nm = 935.0 - 935.0 ** 2 * ghz / 299792458.0
+    start = "g_ghz = 21\nkappa_ghz = 38\ngamma_ghz = 5\n"
+    volts = np.linspace(4.0, 12.0, 9)
+    return {
+        "detuning_GHz": ("spectrum", _rows("detuning_GHz,intensity", ghz, intensity), start),
+        "wavelength_nm": ("spectrum", _rows("wavelength_nm,intensity", nm, intensity), start),
+        "stark": ("stark", _rows("voltage_V,shift_meV", volts, -0.002 * volts ** 2),
+                  "seed = 3\n"),
+    }
+
+
+@pytest.mark.parametrize("marked", ["data", "config"])
+@pytest.mark.parametrize("case", ["detuning_GHz", "wavelength_nm", "stark"])
+def test_cli_fit_ignores_a_leading_byte_order_mark(tmp_path, capsys, case, marked):
+    # Excel's "CSV UTF-8" and Notepad start a file with U+FEFF.
+    kind, data_text, config_text = _bom_cases()[case]
+    reports = []
+    for bom in ("", "\ufeff"):
+        texts = {"data": data_text, "config": config_text}
+        texts[marked] = bom + texts[marked]
+        paths = {name: tmp_path / f"{name}{len(bom)}.txt" for name in texts}
+        for name, text in texts.items():
+            paths[name].write_text(text, encoding="utf-8")
+        out = tmp_path / f"out{len(bom)}"
+        assert run_cli("fit", "--kind", kind, "--preset", "paper", "--config",
+                       str(paths["config"]), "--data", str(paths["data"]),
+                       "--out", str(out)) == 0, capsys.readouterr().err
+        reports.append((out / "fit_report.csv").read_bytes())
+    assert paths[marked].read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reports[0] == reports[1]
