@@ -19,41 +19,58 @@ those commands, so each command loads only the modules it uses.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import os
-import sys
-import tempfile
-from contextlib import suppress
-from dataclasses import replace
-from pathlib import Path
-from typing import NamedTuple
 
-import numpy as np
+# The imports build numpy's and the layers' heap with no cyclic-GC pass
+# walking it as it grows.  freeze() then unfreeze() moves every object into
+# the oldest generation, so the first pass after the collector is back does
+# not walk them all as young ones; it is skipped when something was frozen
+# before, which unfreeze() would thaw.  The block runs on every entry path
+# and leaves the collector's on/off state as it found it.
+_gc_was_enabled, _gc_nothing_frozen = gc.isenabled(), gc.get_freeze_count() == 0
+gc.disable()
+try:
+    import argparse
+    import os
+    import sys
+    import tempfile
+    from contextlib import suppress
+    from dataclasses import replace
+    from pathlib import Path
+    from typing import NamedTuple
 
-from . import __version__
-from .config import RunConfig, parse_config
-from .constants import TWO_PI
-from .cqed import (
-    cooperativity,
-    coupling_regime,
-    g_of_voltage,
-    max_bandwidth,
-    pl_spectrum,
-    reflectivity_spectrum,
-    vacuum_rabi_splitting,
-    weak_coupling_bandwidth,
-)
-from .csvio import ingest_shift_csv, ingest_spectrum_csv, write_csv
-from .electrostatics import (
-    depletion_width,
-    field_at_cavity,
-    onset_voltage,
-    stark_shift,
-    voltage_to_detuning,
-)
-from .errors import ConfigError, IngestError, QdSwitchError, check_array, check_value
-from .manifest import MANIFEST_NAME, write_manifest
+    import numpy as np
+
+    from . import __version__
+    from .config import RunConfig, parse_config
+    from .constants import TWO_PI
+    from .cqed import (
+        cooperativity,
+        coupling_regime,
+        g_of_voltage,
+        max_bandwidth,
+        pl_spectrum,
+        reflectivity_spectrum,
+        vacuum_rabi_splitting,
+        weak_coupling_bandwidth,
+    )
+    from .csvio import ingest_shift_csv, ingest_spectrum_csv, write_csv
+    from .electrostatics import (
+        depletion_width,
+        field_at_cavity,
+        onset_voltage,
+        stark_shift,
+        voltage_to_detuning,
+    )
+    from .errors import ConfigError, IngestError, QdSwitchError, check_array, check_value
+    from .manifest import MANIFEST_NAME, write_manifest
+finally:
+    if _gc_nothing_frozen:
+        gc.freeze()
+        gc.unfreeze()
+    if _gc_was_enabled:
+        gc.enable()
+    del _gc_was_enabled, _gc_nothing_frozen
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -71,8 +88,11 @@ CALIBRATION_RESIDUAL_REL = 1e-6
 
 
 def _preset_path(name: str) -> Path:
-    path = Path(__file__).with_name("presets") / f"{name}.cfg"
-    if not path.is_file():
+    """The built-in preset file name.cfg; a name that is a path, absolute or
+    through another directory, names no preset."""
+    presets = Path(__file__).with_name("presets")
+    path = presets / f"{name}.cfg"
+    if path.parent != presets or not path.is_file():
         raise ConfigError(f"unknown preset '{name}'")
     return path
 

@@ -24,7 +24,7 @@ import numpy as np
 from .constants import TWO_PI
 from .cqed import COUPLING_MAX, CqedParams, OpticalFrame, kappa_from_q
 from .electrostatics import DEFAULT_FIELD_SIGN, DriveSpec, ElectrostaticParams, StarkCoefficients
-from .errors import ConfigError, DomainError, check_array, check_value
+from .errors import ConfigError, DomainError, check_array, check_value, read_text
 
 
 def _parse_float(text: str) -> float:
@@ -250,7 +250,7 @@ def parse_config(*paths: Path | str) -> RunConfig:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
-        values.update(parse_assignments(p.read_text(encoding="utf-8-sig"), str(p)))
+        values.update(parse_assignments(read_text(p, ConfigError), str(p)))
     cfg = RunConfig(values=values)
     try:
         _validate(cfg)

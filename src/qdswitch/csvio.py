@@ -20,7 +20,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT_NM_NS, TWO_PI
 from .cqed import OpticalFrame, Spectrum
 from .electrostatics import ShiftDataset
-from .errors import DomainError, IngestError, check_array
+from .errors import DomainError, IngestError, check_array, read_text
 
 SPECTRUM_WAVELENGTH_HEADER = "wavelength_nm"
 SPECTRUM_DETUNING_HEADER = "detuning_GHz"
@@ -153,7 +153,7 @@ def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.n
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"data file not found: {path}")
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    lines = read_text(path, IngestError).splitlines()
     first = next((k for k, line in enumerate(lines) if line.strip()), None)
     if first is None:
         raise IngestError(f"{path}: empty file")

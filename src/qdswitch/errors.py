@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one domain check.
+"""Exception types shared across the package, the one domain check, and
+the one way an input file's bytes become text.
 
 Each scalar's domain is declared once, on a dataclass field with domain()
 or as a config key's third element.  check_value tests a float kind for
@@ -16,6 +17,7 @@ the first bad value: "intensities must be >= 0, got -1.0".
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +49,19 @@ class ConfigError(QdSwitchError):
 
 class IngestError(QdSwitchError):
     """Input data file could not be parsed."""
+
+
+def read_text(path: Path, error: type[QdSwitchError]) -> str:
+    """The text of the file at path as UTF-8, a leading byte-order mark
+    dropped.  Bytes that are not UTF-8 raise error("<path>:<line>: not
+    UTF-8 text (<reason>: <byte>)"), counting lines as str.splitlines does."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        line = len(exc.object[:exc.start + 1].decode("utf-8", "replace").splitlines())
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason}: {bad:#04x})") from exc
 
 
 class AdiabaticityWarning(UserWarning):

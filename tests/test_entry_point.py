@@ -117,3 +117,58 @@ def test_help_texts_keep_their_bytes(capsys, monkeypatch, argv):
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[argv], out
+
+
+# Imports qdswitch.cli in a fresh interpreter after running the setup code in
+# argv[1].  Prints the collector's (on/off, freeze count) before and after the
+# import, whether the import raised ImportError, and the GC passes that started
+# while cli.py's module body was on the stack.
+IMPORT = """
+import gc, os, sys
+exec(sys.argv[1])
+CLI = os.path.join("qdswitch", "cli.py")
+passes = []
+def count(phase, info):
+    frame = sys._getframe()
+    while phase == "start" and frame is not None:
+        if frame.f_code.co_name == "<module>" and frame.f_code.co_filename.endswith(CLI):
+            passes.append(info["generation"])
+            break
+        frame = frame.f_back
+before = gc.isenabled(), gc.get_freeze_count()
+gc.callbacks.append(count)
+try:
+    import qdswitch.cli
+    failed = False
+except ImportError:
+    failed = True
+gc.callbacks.remove(count)
+print(*before, gc.isenabled(), gc.get_freeze_count(), failed, len(passes))
+"""
+
+
+def import_cli(setup: str = "") -> tuple[str, ...]:
+    proc = fresh_python("-c", IMPORT, setup)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(proc.stdout.split())
+
+
+def test_importing_cli_runs_no_gc_pass():
+    *_, failed, passes = import_cli()
+    assert (failed, passes) == ("False", "0")
+
+
+@pytest.mark.parametrize("setup", ["", "gc.disable()", "gc.freeze()", "gc.disable(); gc.freeze()"],
+                         ids=["enabled", "disabled", "frozen", "disabled and frozen"])
+def test_importing_cli_leaves_the_collector_as_it_found_it(setup):
+    enabled, frozen, enabled_after, frozen_after, failed, _ = import_cli(setup)
+    assert failed == "False"
+    assert (enabled_after, frozen_after) == (enabled, frozen)
+    assert (frozen == "0") == ("freeze" not in setup)
+
+
+def test_failed_import_of_cli_restores_the_collector():
+    enabled, frozen, enabled_after, frozen_after, failed, _ = import_cli(
+        'sys.modules["numpy"] = None')
+    assert failed == "True"
+    assert (enabled_after, frozen_after) == (enabled, frozen) == ("True", "0")

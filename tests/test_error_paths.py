@@ -25,6 +25,7 @@ from qdswitch import (
 )
 from qdswitch import cli
 from qdswitch.cli import main
+from qdswitch.config import parse_config
 from qdswitch.csvio import ingest_shift_csv, ingest_spectrum_csv, write_csv
 from qdswitch.fitting import fit_spectrum, fit_stark_curve, stark_model
 from qdswitch.manifest import MANIFEST_NAME, read_manifest
@@ -86,6 +87,15 @@ CLI_FAILURES = {
         ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
         {"d.csv": "voltage_V,shift_meV\n0,0\n1,0.1\n1,0.2\n"},
         3, "IngestError", "{tmp}/d.csv: voltages must be distinct, got 1.0"),
+    # A file that is not UTF-8 names the line of its first undecodable byte:
+    # a Latin-1 "µ" in a config comment, a Latin-1 "é" in a data row.
+    "config file not UTF-8": (
+        ["metrics", "--config", "{tmp}/c.cfg"], {"c.cfg": b"seed = 1\n# 0.5 \xb5m\n"},
+        1, "ConfigError", "{tmp}/c.cfg:2: not UTF-8 text (invalid start byte: 0xb5)"),
+    "data file not UTF-8": (
+        ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
+        {"d.csv": b"voltage_V,shift_meV\r\n0,0\r\n1,0.1 \xe9\r\n"},
+        3, "IngestError", "{tmp}/d.csv:3: not UTF-8 text (invalid continuation byte: 0xe9)"),
     "zero coupling on a log scale": (
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv", "--config", "{tmp}/c.cfg"],
         {"d.csv": SPECTRUM_TEXT, "c.cfg": "g_ghz = 0\n"},
@@ -97,7 +107,10 @@ CLI_FAILURES = {
 def test_cli_failure_prints_one_record_and_nothing_else(tmp_path, capsys, case):
     command, files, code, error_class, message = CLI_FAILURES[case]
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text, encoding="utf-8")
     out = tmp_path / "o"
     argv = [part.format(tmp=tmp_path) for part in command]
     assert main(argv + ["--preset", "paper", "--out", str(out)]) == code
@@ -300,12 +313,23 @@ def test_library_rejects_bad_input(case):
      r"d.csv:3: detuning_GHz -1e\+308 overflows in the conversion to angular detuning$"),
     (ingest_spectrum_csv, "wavelength_nm,intensity\n1e308,1\n935,1\n",
      r"d.csv:2: wavelength_nm 1e\+308 overflows in the conversion to angular detuning$"),
+    (ingest_shift_csv, b"\xef\xbb\xbfvoltage_V,shift_meV\n\n0,0\n1,0.1\xb5\n",
+     r"d.csv:4: not UTF-8 text \(invalid start byte: 0xb5\)$"),
 ], ids=["wrong-width header", "no data rows", "no data rows, header without newline",
         "no data rows, CRLF and blank lines", "no data rows, whitespace-only lines",
         "only blank lines", "malformed row after blank lines",
-        "finite detuning that overflows", "finite wavelength whose detuning overflows"])
+        "finite detuning that overflows", "finite wavelength whose detuning overflows",
+        "Latin-1 byte after a byte-order mark"])
 def test_ingest_rejects_a_malformed_file(tmp_path, ingest, text, message):
     path = tmp_path / "d.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(IngestError, match=message):
         ingest(path)
+
+
+def test_config_that_is_not_utf8_names_its_file_and_line(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"\xef\xbb\xbfg_ghz = 20\r\n\r\n# 0.5 \xb5m\r\n")
+    message = r"c.cfg:3: not UTF-8 text \(invalid start byte: 0xb5\)$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)

@@ -1148,6 +1148,22 @@ def test_cli_unknown_preset_is_a_config_error(tmp_path, capsys):
     assert "unknown preset 'no_such_preset'" in record["message"]
 
 
+# A preset is a file directly in presets/, named without its .cfg: a path
+# to a config file elsewhere, or to the paper preset through "..", is no preset.
+@pytest.mark.parametrize("name", ["{tmp}/mine", "../presets/paper", "sub/name"],
+                         ids=["absolute path", "dot-dot path", "sub/name path"])
+def test_cli_preset_names_only_a_built_in_file(tmp_path, capsys, name):
+    (tmp_path / "mine.cfg").write_text("bias_v = 1\n", encoding="utf-8")
+    name = name.format(tmp=tmp_path)
+    out = tmp_path / "o"
+    assert run_cli("metrics", "--preset", name, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error_code": 1, "error_class": "ConfigError",
+                                        "message": f"unknown preset '{name}'"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bias", ["0", "3"])
 @pytest.mark.parametrize("volts, couplings, key", [
     ("5, 3", "20, 10", "g_anchor_v"),
