@@ -80,7 +80,7 @@ EXIT_IO = 3
 _EXIT_CODES = ((ConfigError, EXIT_CONFIG), (IngestError, EXIT_IO),
                (QdSwitchError, EXIT_NUMERIC), (OSError, EXIT_IO),
                (ValueError, EXIT_NUMERIC), (ArithmeticError, EXIT_NUMERIC),
-               (MemoryError, EXIT_NUMERIC), (np.linalg.LinAlgError, EXIT_NUMERIC))
+               (MemoryError, EXIT_NUMERIC))
 
 # A calibration is applied only when it converged and its residual norm
 # (in on/off-ratio units) is at most this fraction of the largest target.
@@ -100,12 +100,12 @@ def _preset_path(name: str) -> Path:
 def _load(args: argparse.Namespace) -> tuple[RunConfig, dict[str, Path]]:
     """The parsed config, and the run's input files keyed by their manifest name."""
     inputs = {}
-    if args.preset:
+    if args.preset is not None:
         inputs["preset"] = _preset_path(args.preset)
-    if args.config:
+    if args.config is not None:
         inputs["config"] = Path(args.config)
     cfg = parse_config(*inputs.values())
-    if getattr(args, "data", None):
+    if getattr(args, "data", None) is not None:
         inputs["data"] = Path(args.data)
     if args.seed is not None:
         cfg.values["seed"] = args.seed
@@ -178,15 +178,14 @@ def _cmd_stark(cfg: RunConfig, args) -> _Written:
 def _cmd_spectrum(cfg: RunConfig, args) -> _Written:
     cqed = cfg.cqed_params()
     bias = cfg["bias_v"]
-    if bias > 0.0:
-        detune = voltage_to_detuning(cfg.electrostatic_params(), cfg.stark_coefficients(),
-                                     bias, screening=cfg.screening(),
-                                     field_sign=cfg["field_sign"])
-        updates = {"dot_freq": cqed.dot_freq + detune}
-        anchors = cfg.g_anchors()
-        if anchors is not None:
-            updates["coupling"] = g_of_voltage(anchors, bias)
-        cqed = replace(cqed, **updates)
+    detune = voltage_to_detuning(cfg.electrostatic_params(), cfg.stark_coefficients(),
+                                 bias, screening=cfg.screening(),
+                                 field_sign=cfg["field_sign"])
+    updates = {"dot_freq": cqed.dot_freq + detune}
+    anchors = cfg.g_anchors()
+    if anchors is not None:
+        updates["coupling"] = g_of_voltage(anchors, bias)
+    cqed = replace(cqed, **updates)
     grid = cfg.detuning_grid()
     refl = reflectivity_spectrum(cqed, grid)
     pl = pl_spectrum(cqed, grid)
@@ -258,9 +257,9 @@ def _cmd_metrics(cfg: RunConfig, args) -> _Written:
 def _cmd_fit(cfg: RunConfig, args) -> _Written:
     from .fitting import fit_contrast, fit_spectrum, fit_stark_curve
 
-    if args.kind in ("stark", "spectrum") and not args.data:
+    if args.kind in ("stark", "spectrum") and args.data is None:
         raise ConfigError(f"fit --kind {args.kind} requires --data")
-    if args.kind == "contrast" and args.data:
+    if args.kind == "contrast" and args.data is not None:
         raise ConfigError("fit --kind contrast takes no --data; it fits contrast_targets")
     if args.kind == "stark":
         data = ingest_shift_csv(args.data)

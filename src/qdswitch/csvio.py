@@ -29,6 +29,7 @@ SPECTRUM_DETUNING_HEADER = "detuning_GHz"
 WRITE_CHUNK_ROWS = 4096
 # Exact value types whose format_value text is float.__repr__ of the value.
 _REPR_TYPES = {float, np.float64}
+_INGEST_COLUMNS = 2  # columns of every file the ingest functions read
 
 
 def format_value(value) -> str:
@@ -147,7 +148,7 @@ def _pack(f, fields) -> None:
     f.write(line[line != 0])
 
 
-def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.ndarray]:
+def _read_rows(path: Path | str) -> tuple[list[str], np.ndarray]:
     """Header names and one contiguous float array per column.  The first
     non-blank line is the header; blank lines anywhere are skipped."""
     path = Path(path)
@@ -158,14 +159,13 @@ def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.n
     if first is None:
         raise IngestError(f"{path}: empty file")
     header = [h.strip() for h in lines[first].split(",")]
-    if len(header) != expected_columns:
-        raise IngestError(
-            f"{path}: expected {expected_columns} columns, header has {len(header)}")
+    if len(header) != _INGEST_COLUMNS:
+        raise IngestError(f"{path}: expected {_INGEST_COLUMNS} columns, header has {len(header)}")
     body = lines[first + 1:]
     if any(body):  # loadtxt skips empty lines, and warns when no line is left
         with suppress(ValueError):
             values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-            if values.shape[1] == expected_columns:
+            if values.shape[1] == _INGEST_COLUMNS:
                 return header, values.T.copy()
     # Row by row: drops whitespace-only lines, names the first malformed line
     # (counting non-blank lines) and reads any number syntax float() accepts
@@ -176,8 +176,8 @@ def _read_rows(path: Path | str, expected_columns: int) -> tuple[list[str], np.n
     rows = []
     for lineno, line in enumerate(body, start=2):
         parts = line.split(",")
-        if len(parts) != expected_columns:
-            raise IngestError(f"{path}:{lineno}: expected {expected_columns} values")
+        if len(parts) != _INGEST_COLUMNS:
+            raise IngestError(f"{path}:{lineno}: expected {_INGEST_COLUMNS} values")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
@@ -194,7 +194,7 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
     lambda0^2; 'detuning_GHz' values are ordinary GHz.  Duplicate grid
     points must agree in intensity, otherwise the file is rejected.
     """
-    header, (x, y) = _read_rows(path, 2)
+    header, (x, y) = _read_rows(path)
     mode = header[0]
     if mode not in (SPECTRUM_WAVELENGTH_HEADER, SPECTRUM_DETUNING_HEADER):
         raise IngestError(
@@ -239,7 +239,7 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
 
 def ingest_shift_csv(path: Path | str) -> ShiftDataset:
     """Read (voltage_V, shift_meV) rows into a ShiftDataset."""
-    header, (volts, shifts) = _read_rows(path, 2)
+    header, (volts, shifts) = _read_rows(path)
     if header[0] != "voltage_V" or header[1] != "shift_meV":
         raise IngestError(f"{path}: expected header 'voltage_V,shift_meV'")
     try:

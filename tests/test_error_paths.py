@@ -156,6 +156,39 @@ def test_cli_lets_a_class_outside_the_exit_table_propagate(tmp_path, capsys, mon
     assert capsys.readouterr() == ("", "")
 
 
+# An empty flag value is a value: each flag fails by its own rule, as any
+# other name it cannot use would, instead of running on the defaults.
+# case -> (command line after "qdswitch"; exit code; error class; message start)
+EMPTY_FLAGS = {
+    "--preset ''": (["metrics", "--preset", ""], 1, "ConfigError", "unknown preset ''"),
+    "--config ''": (["metrics", "--config", ""], 1, "ConfigError", "config file not found: "),
+    "contrast --data ''": (
+        ["fit", "--kind", "contrast", "--preset", "paper", "--data", ""], 1, "ConfigError",
+        "fit --kind contrast takes no --data; it fits contrast_targets"),
+    "stark --data ''": (["fit", "--kind", "stark", "--preset", "paper", "--data", ""],
+                        3, "IngestError", "data file not found: "),
+    "spectrum --data ''": (["fit", "--kind", "spectrum", "--preset", "paper", "--data", ""],
+                           3, "IngestError", "data file not found: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_FLAGS))
+def test_cli_empty_flag_value_fails_by_its_own_rule(tmp_path, capsys, case):
+    command, code, error_class, message = EMPTY_FLAGS[case]
+    out = tmp_path / "o"
+    assert main(["metrics", "--preset", "paper", "--out", str(out)]) == 0
+    before = _left_in(out)
+    capsys.readouterr()
+    assert main(command + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    record = json.loads(captured.err)
+    assert (record["error_code"], record["error_class"]) == (code, error_class)
+    assert record["message"].startswith(message)
+    assert _left_in(out) == before
+
+
 def _left_in(out):
     """{name: bytes} of every file in out, None for a directory; {} if out is absent."""
     if not out.exists():

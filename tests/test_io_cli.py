@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdswitch import (
@@ -1175,7 +1175,7 @@ def test_cli_preset_names_only_a_built_in_file(tmp_path, capsys, name):
 ])
 def test_cli_rejects_bad_coupling_anchors_at_any_bias(tmp_path, capsys, volts, couplings,
                                                       key, bias):
-    # bias_v = 0 never interpolates the anchors; they are checked anyway.
+    # Every bias, 0 V included, reads the anchors, so each bad table fails at both.
     cfg = tmp_path / "anchors.cfg"
     cfg.write_text(f"g_anchor_v = {volts}\ng_anchor_ghz = {couplings}\nbias_v = {bias}\n",
                    encoding="utf-8")
@@ -1186,6 +1186,75 @@ def test_cli_rejects_bad_coupling_anchors_at_any_bias(tmp_path, capsys, volts, c
     assert record["error_class"] == "ConfigError"
     assert record["message"].endswith(f"(config key {key})")
     assert not (out / "spectrum.csv").exists()
+
+
+def _model_spectrum(path, cfg, bias):
+    """spectrum.csv as the library writes it with the device placed at bias:
+    the dot at dot_freq + voltage_to_detuning(bias) and, with a table, the
+    coupling at g_of_voltage(anchors, bias)."""
+    from dataclasses import replace
+
+    from qdswitch import g_of_voltage, pl_spectrum, reflectivity_spectrum, voltage_to_detuning
+
+    cqed = cfg.cqed_params()
+    detune = voltage_to_detuning(cfg.electrostatic_params(), cfg.stark_coefficients(), bias,
+                                 screening=cfg.screening(), field_sign=cfg["field_sign"])
+    anchors = cfg.g_anchors()
+    coupling = cqed.coupling if anchors is None else g_of_voltage(anchors, bias)
+    cqed = replace(cqed, dot_freq=cqed.dot_freq + detune, coupling=coupling)
+    grid = cfg.detuning_grid()
+    return write_csv(path, ["detuning_GHz", "reflectivity", "pl"],
+                     columns=[grid / TWO_PI, reflectivity_spectrum(cqed, grid).intensities,
+                              pl_spectrum(cqed, grid).intensities])
+
+
+# At 0 V the spectrum places the device as at any other bias.  With this
+# table g(0) is 5 GHz, not g_ghz; with the electrode this close the built-in
+# potential depletes past the dot, so the onset is 0 V and the Stark shift
+# at 0 V is not zero.
+@pytest.mark.parametrize("text", ["g_anchor_v = 0, 14\ng_anchor_ghz = 5, 2\n", "dx_um = 0.2\n"],
+                         ids=["coupling table", "zero onset"])
+def test_cli_spectrum_at_zero_bias_places_the_device_by_the_model(tmp_path, text):
+    from qdswitch import g_of_voltage, onset_voltage, voltage_to_detuning
+    from qdswitch.cli import _preset_path
+
+    path = tmp_path / "device.cfg"
+    path.write_text(text + "bias_v = 0\n", encoding="utf-8")
+    cfg = parse_config(_preset_path("paper"), path)
+    anchors, elec = cfg.g_anchors(), cfg.electrostatic_params()
+    if anchors is None:
+        assert onset_voltage(elec) == 0.0
+        assert voltage_to_detuning(elec, cfg.stark_coefficients(), 0.0) != 0.0
+    else:
+        assert g_of_voltage(anchors, 0.0) != cfg.cqed_params().coupling
+    out = tmp_path / "o"
+    assert run_cli("spectrum", "--preset", "paper", "--config", str(path),
+                   "--out", str(out)) == 0
+    model = _model_spectrum(tmp_path / "model.csv", cfg, 0.0)
+    assert (out / "spectrum.csv").read_bytes() == model.read_bytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(bias=st.floats(0.0, 14.0))
+@example(bias=0.0)
+def test_cli_spectrum_flat_coupling_table_changes_no_byte(tmp_path_factory, bias):
+    # np.interp between equal anchors returns the anchor exactly, so a table
+    # holding g at g_ghz gives the bytes of the run without one, and both are
+    # the model's at that bias; the device has its onset at 0 V.
+    from qdswitch.cli import _preset_path
+
+    work = tmp_path_factory.mktemp("flat")
+    device = f"dx_um = 0.2\nbias_v = {bias!r}\n"
+    runs = {"plain": device, "table": device + "g_anchor_v = 0, 14\ng_anchor_ghz = 20, 20\n"}
+    written = {}
+    for name, text in runs.items():
+        (work / f"{name}.cfg").write_text(text, encoding="utf-8")
+        assert run_cli("spectrum", "--preset", "paper", "--config", str(work / f"{name}.cfg"),
+                       "--out", str(work / name)) == 0
+        written[name] = (work / name / "spectrum.csv").read_bytes()
+    cfg = parse_config(_preset_path("paper"), work / "plain.cfg")
+    assert written["table"] == written["plain"]
+    assert written["plain"] == _model_spectrum(work / "model.csv", cfg, bias).read_bytes()
 
 
 @pytest.mark.parametrize("text, message", [
