@@ -103,23 +103,23 @@ def _load(args: argparse.Namespace) -> tuple[RunConfig, dict[str, Path]]:
     if args.preset is not None:
         inputs["preset"] = _preset_path(args.preset)
     if args.config is not None:
-        inputs["config"] = Path(args.config)
+        inputs["config"] = args.config  # as given: Path('') would name the working directory
     cfg = parse_config(*inputs.values())
     if getattr(args, "data", None) is not None:
-        inputs["data"] = Path(args.data)
+        inputs["data"] = args.data
     if args.seed is not None:
         cfg.values["seed"] = args.seed
-    return cfg, inputs
+    return cfg, {name: Path(path) for name, path in inputs.items()}
 
 
 def _calibrated_cqed(cfg: RunConfig):
     """Apply the DC contrast calibration when targets are configured.
 
     Returns (cqed, screening, calibration FitResult or None).  The
-    calibration holds the coupling at its configured value; fitted
-    dot_decay and screening replace the configured ones.  A calibration
-    that did not converge or misses its targets raises ConfigError; one
-    whose residual is not finite raises DomainError.
+    calibration reads g(V) from any g_anchor_* table, as every command that
+    places the device at a bias does; fitted dot_decay and screening replace
+    the configured ones.  A calibration that did not converge or misses its
+    targets raises ConfigError; one whose residual is not finite raises DomainError.
     """
     from .fitting import fit_contrast
 
@@ -128,7 +128,7 @@ def _calibrated_cqed(cfg: RunConfig):
     if not targets:
         return cqed, cfg.screening(), None
     result = fit_contrast(targets, cfg.electrostatic_params(), cfg.stark_coefficients(),
-                          cqed, field_sign=cfg["field_sign"])
+                          cqed, field_sign=cfg["field_sign"], g_anchors=cfg.g_anchors())
     # A non-finite residual comes from the device values, not the targets.
     check_value("calibration residual_norm", result.residual_norm, "finite")
     limit = CALIBRATION_RESIDUAL_REL * max(ratio for _, ratio in targets)
@@ -203,7 +203,7 @@ def _cmd_switch(cfg: RunConfig, args) -> _Written:
         drive, cfg.electrostatic_params(), cfg.stark_coefficients(), cqed,
         screening=screening,
         probe_freq=cqed.dot_freq + TWO_PI * cfg["probe_detuning_ghz"],
-        field_sign=cfg["field_sign"],
+        g_anchors=cfg.g_anchors(), field_sign=cfg["field_sign"],
     )
     ratio = on_off_ratio(trace)
     # The intensities tile one steady-state cycle; the times do not repeat.
@@ -274,7 +274,7 @@ def _cmd_fit(cfg: RunConfig, args) -> _Written:
             raise ConfigError("fit --kind contrast requires contrast_targets in the config")
         result = fit_contrast(targets, cfg.electrostatic_params(),
                               cfg.stark_coefficients(), cfg.cqed_params(),
-                              field_sign=cfg["field_sign"])
+                              field_sign=cfg["field_sign"], g_anchors=cfg.g_anchors())
 
     rows = [(name, value, result.units.get(name, "")) for name, value in
             sorted(result.parameters.items())]
@@ -329,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg, inputs = _load(args)
         tables, extra, summary = _COMMANDS[args.command][0](cfg, args)
         command = f"fit:{args.kind}" if args.command == "fit" else args.command
-        _emit(Path(args.out), tables, command=command, version=__version__,
+        _emit(args.out, tables, command=command, version=__version__,
               seed=cfg["seed"], inputs=inputs, config_values=cfg.values, extra=extra)
         print("\n".join(summary))
         return EXIT_OK
@@ -337,10 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc)
 
 
-def _emit(out_dir: Path, tables: list[_Table], **record) -> None:
+def _emit(out: str, tables: list[_Table], **record) -> None:
     """The one output sink.  It checks every float cell of tables, writes
     them and the manifest (record, as write_manifest takes it) into a
-    staging directory under out_dir, then moves each CSV into place and
+    staging directory under out (as given: '' is no directory), then moves each CSV into place and
     the manifest last.  The old manifest is removed before the first move,
     so a failed move leaves none; any earlier failure leaves out_dir as it
     was, and absent if the run created it.  The staging directory is
@@ -354,8 +354,9 @@ def _emit(out_dir: Path, tables: list[_Table], **record) -> None:
         else:
             for name, column in zip(table.header, table.columns):
                 check_array(f"column {name}", column, (("finite",),))
+    out_dir = Path(out)
     created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     try:
         with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir,
                                          ignore_cleanup_errors=True) as staging:

@@ -249,7 +249,7 @@ def parse_config(*paths: Path | str) -> RunConfig:
     for path in paths:
         p = Path(path)
         if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
+            raise ConfigError(f"config file not found: {str(path)!r}")
         values.update(parse_assignments(read_text(p, ConfigError), str(p)))
     cfg = RunConfig(values=values)
     try:

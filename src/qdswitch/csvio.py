@@ -151,9 +151,9 @@ def _pack(f, fields) -> None:
 def _read_rows(path: Path | str) -> tuple[list[str], np.ndarray]:
     """Header names and one contiguous float array per column.  The first
     non-blank line is the header; blank lines anywhere are skipped."""
+    if not Path(path).is_file():
+        raise IngestError(f"data file not found: {str(path)!r}")
     path = Path(path)
-    if not path.is_file():
-        raise IngestError(f"data file not found: {path}")
     lines = read_text(path, IngestError).splitlines()
     first = next((k for k, line in enumerate(lines) if line.strip()), None)
     if first is None:

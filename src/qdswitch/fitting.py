@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cqed import (_CQED_FIELDS, CqedParams, Spectrum, _intensity, reflectivity_at,
-                   reflectivity_model, reflectivity_terms)
+from .cqed import (_CQED_FIELDS, CqedParams, Spectrum, _intensity, g_of_voltage,
+                   reflectivity_at, reflectivity_model, reflectivity_terms)
 from .electrostatics import (
     DEFAULT_FIELD_SIGN,
     ElectrostaticParams,
@@ -230,11 +230,13 @@ def _log_scales(params: CqedParams, names: Sequence[str]) -> np.ndarray:
     return np.array([getattr(params, n) if n in _LOG_SCALE_PARAMS else 1.0 for n in names])
 
 
-def _jacobian_columns(params: CqedParams, e, d, names: Sequence[str]) -> np.ndarray:
-    """d I / d p in natural units from the denominators (E, D) at params.
+def _jacobian_columns(params: CqedParams, e, d, names: Sequence[str], coupling=None) -> np.ndarray:
+    """d I / d p in natural units from the denominators (E, D) at params, with
+    coupling (scalar or per point) in place of params.coupling when given.
     With I = b + A kappa^2 / |D|^2 each derivative reduces to Re(conj(D) dD/dp)."""
     abs2 = np.abs(d) ** 2
-    a, g, kappa = params.amplitude, params.coupling, params.cavity_decay
+    a, kappa = params.amplitude, params.cavity_decay
+    g = params.coupling if coupling is None else coupling
     front2 = -a * kappa ** 2 / abs2 ** 2 * 2.0
     conj_d = np.conj(d)
 
@@ -320,28 +322,31 @@ def dc_contrast(
     *,
     screening: float = 1.0,
     field_sign: float = DEFAULT_FIELD_SIGN,
+    g_anchors: Sequence[tuple[float, float]] | None = None,
 ) -> float:
-    """Model on/off ratio of bias v_on against zero bias with the probe at
-    the zero-bias dot frequency; the per-point form of the calibration model."""
+    """Model on/off ratio of bias v_on against zero bias, probe at the zero-bias dot
+    frequency, g(V) from g_anchors when given; the per-point form of the calibration model."""
     probe = cqed.dot_freq
 
     def point(v: float) -> float:
         detune = voltage_to_detuning(elec, stark, v, screening=screening,
                                      field_sign=field_sign)
-        return reflectivity_at(replace(cqed, dot_freq=cqed.dot_freq + detune), probe)
+        g = cqed.coupling if g_anchors is None else g_of_voltage(g_anchors, v)
+        return reflectivity_at(replace(cqed, dot_freq=cqed.dot_freq + detune, coupling=g), probe)
 
     return point(v_on) / point(0.0)
 
 
-def _contrast_problem(cqed: CqedParams, unscreened: np.ndarray, ratios: np.ndarray):
+def _contrast_problem(cqed: CqedParams, unscreened: np.ndarray, ratios: np.ndarray,
+                      coupling: np.ndarray | None = None):
     """The contrast fit in (log gamma, logit s): problem(x) -> (residual,
-    jacobian).  unscreened holds the s = 1 detuning of every target and,
-    last, of the zero-bias reference; each residual is I(V)/I(0 V) minus
-    its target ratio."""
+    jacobian).  unscreened holds the s = 1 detuning, and coupling, when
+    given, the coupling of every target and, last, of the zero-bias
+    reference; each residual is I(V)/I(0 V) minus its target ratio."""
     def problem(x: np.ndarray):
         gamma = math.exp(x[0])
         s = 1.0 / (1.0 + math.exp(-x[1]))
-        e, d = reflectivity_terms(cqed, cqed.dot_freq, dot_decay=gamma,
+        e, d = reflectivity_terms(cqed, cqed.dot_freq, dot_decay=gamma, coupling=coupling,
                                   dot_freq=cqed.dot_freq + s * unscreened)
         intensity = _intensity(cqed, d)
         ratio = intensity[:-1] / intensity[-1]
@@ -349,7 +354,7 @@ def _contrast_problem(cqed: CqedParams, unscreened: np.ndarray, ratios: np.ndarr
         def jacobian() -> np.ndarray:
             # dI/dx by the chain rule through gamma = e^x0 and s = 1/(1 + e^-x1),
             # then the quotient rule for I(V)/I(0 V)
-            cols = _jacobian_columns(cqed, e, d, ("dot_decay", "dot_freq"))
+            cols = _jacobian_columns(cqed, e, d, ("dot_decay", "dot_freq"), coupling=coupling)
             cols[:, 0] *= gamma
             cols[:, 1] *= s * (1.0 - s) * unscreened
             return (cols[:-1] - ratio[:, None] * cols[-1]) / intensity[-1]
@@ -366,32 +371,35 @@ def fit_contrast(
     cqed: CqedParams,
     *,
     field_sign: float = DEFAULT_FIELD_SIGN,
+    g_anchors: Sequence[tuple[float, float]] | None = None,
 ) -> FitResult:
     """Calibrate (dot_decay, screening) against DC on/off ratio targets.
 
     targets are (reverse bias V, measured on/off ratio) pairs, ratios
-    taken against the zero-bias state.  The coupling and cavity decay
-    stay at their cqed values throughout.  The solver scans a coarse
-    deterministic grid for a starting point, then refines with the
+    taken against the zero-bias state; g(V), 0 V included, comes from
+    g_anchors when given and is cqed.coupling otherwise.  The solver scans a
+    coarse deterministic grid for a starting point, then refines with the
     damped Gauss-Newton loop in (log gamma, logit s) coordinates.
     """
     volts = check_array("bias targets", [t[0] for t in targets], (2, (">=", 0.0)))
     ratios = check_array("on/off ratios", [t[1] for t in targets], ((">=", 1.0),))
     # The detuning is linear in the screening factor: evaluate it once at
     # s = 1 for every target and for the zero-bias reference, then scale.
-    unscreened = voltage_to_detuning(elec, stark, np.append(volts, 0.0),
-                                     field_sign=field_sign)
+    biases = np.append(volts, 0.0)
+    unscreened = voltage_to_detuning(elec, stark, biases, field_sign=field_sign)
+    coupling = None if g_anchors is None else g_of_voltage(g_anchors, biases)
 
     # Coarse scan keeps the refinement out of the wrong basin.
     gamma_grid = cqed.cavity_decay * np.geomspace(0.02, 2.0, 24)
     s_grid = np.linspace(0.02, 0.9, 18)
     intensity = reflectivity_model(cqed, cqed.dot_freq, dot_decay=gamma_grid[:, None, None],
-                                   dot_freq=cqed.dot_freq + s_grid[None, :, None] * unscreened)
+                                   dot_freq=cqed.dot_freq + s_grid[None, :, None] * unscreened,
+                                   coupling=coupling)
     err = intensity[..., :-1] / intensity[..., -1:] - ratios
     i, k = np.unravel_index(np.argmin(np.sum(err * err, axis=-1)), err.shape[:2])
     x0 = np.array([math.log(gamma_grid[i]), math.log(s_grid[k] / (1.0 - s_grid[k]))])
 
-    x, *solution = _levenberg_marquardt(_contrast_problem(cqed, unscreened, ratios), x0)
+    x, *solution = _levenberg_marquardt(_contrast_problem(cqed, unscreened, ratios, coupling), x0)
     gamma = math.exp(x[0])
     s = 1.0 / (1.0 + math.exp(-x[1]))
     # dgamma/dx0 = gamma, ds/dx1 = s(1-s)

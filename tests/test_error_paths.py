@@ -189,6 +189,59 @@ def test_cli_empty_flag_value_fails_by_its_own_rule(tmp_path, capsys, case):
     assert _left_in(out) == before
 
 
+@pytest.mark.parametrize("case", sorted(case for case, (*_, message) in EMPTY_FLAGS.items()
+                                         if message.endswith("not found: ")))
+def test_cli_empty_path_names_the_value_as_given(tmp_path, capsys, case):
+    # Path('') is the working directory; the message names the flag's value.
+    command, code, _, message = EMPTY_FLAGS[case]
+    assert main(command + ["--out", str(tmp_path / "o")]) == code
+    assert json.loads(capsys.readouterr().err)["message"] == message + "''"
+
+
+@pytest.mark.parametrize("command", [["metrics", "--preset", "paper"],
+                                     ["switch", "--preset", "paper"]], ids=["metrics", "switch"])
+def test_cli_empty_out_is_no_directory(tmp_path, capsys, monkeypatch, command):
+    # An empty --out fails as any --out that cannot be made a directory does,
+    # instead of writing into the working directory.
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--out", ""]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    record = json.loads(captured.err)
+    assert (record["error_code"], record["error_class"]) == (3, "FileNotFoundError")
+    assert record["message"].endswith(": ''")
+    assert list(tmp_path.iterdir()) == []
+
+
+# switch and the contrast fit read g(V) from the table at every bias, so a
+# table the paper targets cannot meet fails the switch calibration, and a
+# steep one fails both runs; either way --out keeps what it held.
+@pytest.mark.parametrize("couplings, command, code", [
+    ("20, 15", ["switch"], 1),
+    ("20, 2", ["switch"], None),
+    ("20, 2", ["fit", "--kind", "contrast"], None),
+], ids=["unmet-switch", "steep-switch", "steep-fit"])
+def test_cli_coupling_table_fails_the_calibration_cleanly(tmp_path, capsys, couplings,
+                                                          command, code):
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(f"g_anchor_v = 0, 14\ng_anchor_ghz = {couplings}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(command + ["--preset", "paper", "--out", str(out)]) == 0
+    before = _left_in(out)
+    capsys.readouterr()
+    exit_code = main(command + ["--preset", "paper", "--config", str(cfg), "--out", str(out)])
+    assert exit_code != 0 if code is None else exit_code == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    record = json.loads(captured.err)
+    assert record["error_code"] == exit_code
+    if code == 1:
+        assert record["message"].endswith("(config key contrast_targets)")
+    assert _left_in(out) == before
+
+
 def _left_in(out):
     """{name: bytes} of every file in out, None for a directory; {} if out is absent."""
     if not out.exists():

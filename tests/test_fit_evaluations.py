@@ -24,6 +24,7 @@ from qdswitch import (
     StarkCoefficients,
     fit_contrast,
     fit_spectrum,
+    g_of_voltage,
     kappa_from_q,
     reflectivity_model_jacobian,
     reflectivity_spectrum,
@@ -127,14 +128,19 @@ STARK = StarkCoefficients(dipole_mev_um_per_v=-0.009, polarizability_mev_um2_per
        log_gamma_over_kappa=st.floats(math.log(0.01), math.log(3.0)),
        logit_s=st.floats(-4.0, 4.0),
        below=st.lists(st.floats(0.0, 3.0), max_size=2),
-       above=st.lists(st.floats(3.4, 16.0), min_size=1, max_size=3))
+       above=st.lists(st.floats(3.4, 16.0), min_size=1, max_size=3),
+       table=st.none() | st.tuples(st.floats(2.0, 40.0), st.floats(2.0, 40.0)))
 def test_contrast_jacobian_matches_central_differences(distance, log_gamma_over_kappa,
-                                                       logit_s, below, above):
+                                                       logit_s, below, above, table):
     elec = ElectrostaticParams(donor_density_cm3=9e15, barrier_potential_v=0.36,
                                relative_permittivity=12.9, electrode_distance_um=distance)
     volts = np.array(below + above)
-    unscreened = voltage_to_detuning(elec, STARK, np.append(volts, 0.0))
-    problem = _contrast_problem(CONTRAST_CQED, unscreened, np.ones(volts.size))
+    biases = np.append(volts, 0.0)
+    unscreened = voltage_to_detuning(elec, STARK, biases)
+    # table: g in GHz at 0 V and 16 V, so each target has its own coupling
+    coupling = None if table is None else g_of_voltage(
+        [(0.0, TWO_PI * table[0]), (16.0, TWO_PI * table[1])], biases)
+    problem = _contrast_problem(CONTRAST_CQED, unscreened, np.ones(volts.size), coupling)
     x = np.array([math.log(CONTRAST_CQED.cavity_decay) + log_gamma_over_kappa, logit_s])
 
     r, jacobian = problem(x)

@@ -221,13 +221,19 @@ def test_contrast_fit_two_targets(device_elec, device_stark, device_cqed):
     assert 0.05 <= result.parameters["screening"] <= 0.2
 
 
-def test_contrast_fit_round_trips_known_parameters(device_elec, device_stark, device_cqed):
+# With a table the coupling follows g(V) at every bias, 0 V included, in
+# the targets and in the fit alike.
+@pytest.mark.parametrize("anchors", [None, ((0.0, TWO_PI * 20.0), (14.0, TWO_PI * 16.0))],
+                         ids=["no table", "table"])
+def test_contrast_fit_round_trips_known_parameters(device_elec, device_stark, device_cqed,
+                                                   anchors):
     from qdswitch import dc_contrast
     truth_gamma, truth_s = TWO_PI * 12.0, 0.15
     cal = replace(device_cqed, dot_decay=truth_gamma)
-    targets = [(v, dc_contrast(device_elec, device_stark, cal, v, screening=truth_s))
+    targets = [(v, dc_contrast(device_elec, device_stark, cal, v, screening=truth_s,
+                               g_anchors=anchors))
                for v in (8.0, 11.0, 14.0)]
-    result = fit_contrast(targets, device_elec, device_stark, device_cqed)
+    result = fit_contrast(targets, device_elec, device_stark, device_cqed, g_anchors=anchors)
     assert result.parameters["dot_decay"] == pytest.approx(truth_gamma, rel=1e-8)
     assert result.parameters["screening"] == pytest.approx(truth_s, rel=1e-8)
 

@@ -1257,6 +1257,72 @@ def test_cli_spectrum_flat_coupling_table_changes_no_byte(tmp_path_factory, bias
     assert written["plain"] == _model_spectrum(work / "model.csv", cfg, bias).read_bytes()
 
 
+FLAT_TABLE = "g_anchor_v = 0, 14\ng_anchor_ghz = 20, 20\n"   # g at g_ghz at every bias
+MET_TABLE = "g_anchor_v = 0, 14\ng_anchor_ghz = 20, 18\n"    # the paper targets still met
+
+
+def _switch_and_contrast_fit(work, name, text):
+    """{file name: bytes} of a paper-preset switch and contrast fit run on text."""
+    cfg = work / f"{name}.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    for command in (["switch"], ["fit", "--kind", "contrast"]):
+        assert run_cli(*command, "--preset", "paper", "--config", str(cfg),
+                       "--out", str(work / name)) == 0
+    return {f: (work / name / f).read_bytes()
+            for f in ("switch_trace.csv", "switch_summary.csv", "fit_report.csv")}
+
+
+def _assert_library_composition(work, written, text):
+    """The CLI outputs in written are the library's composition for the table
+    in text, fit_contrast then simulate_switching, both given g_anchors:
+    switch_trace.csv byte for byte, and the summary and report cells it fixes."""
+    from dataclasses import replace
+
+    from qdswitch import fit_contrast, on_off_ratio
+    from qdswitch.cli import _preset_path
+
+    (work / "library.cfg").write_text(text, encoding="utf-8")
+    cfg = parse_config(_preset_path("paper"), work / "library.cfg")
+    anchors, elec, stark = cfg.g_anchors(), cfg.electrostatic_params(), cfg.stark_coefficients()
+    result = fit_contrast(cfg["contrast_targets"], elec, stark, cfg.cqed_params(),
+                          field_sign=cfg["field_sign"], g_anchors=anchors)
+    cqed = replace(cfg.cqed_params(), dot_decay=result.parameters["dot_decay"])
+    screening = result.parameters["screening"]
+    trace = simulate_switching(
+        cfg.drive_spec(), elec, stark, cqed, screening=screening,
+        probe_freq=cqed.dot_freq + TWO_PI * cfg["probe_detuning_ghz"], g_anchors=anchors,
+        field_sign=cfg["field_sign"])
+    path = write_csv(work / "library_trace.csv", ["time_ns", "intensity"],
+                     columns=[trace.times, trace.values])
+    assert written["switch_trace.csv"] == path.read_bytes()
+    for name, cells in (
+            ("switch_summary.csv", {"on_off_ratio": on_off_ratio(trace),
+                                    "dot_decay_GHz": cqed.dot_decay / TWO_PI,
+                                    "screening": screening}),
+            ("fit_report.csv", {"dot_decay": cqed.dot_decay, "screening": screening,
+                                "residual_norm": result.residual_norm})):
+        rows = dict(line.split(",")[:2] for line in written[name].decode().splitlines()[1:])
+        assert {key: rows[key] for key in cells} == {
+            key: format_value(value) for key, value in cells.items()}
+
+
+def test_cli_flat_coupling_table_changes_no_switch_or_contrast_fit_byte(tmp_path):
+    # switch and both contrast calibrations read the table as spectrum does,
+    # and np.interp between equal anchors returns the anchor exactly.
+    written = {name: _switch_and_contrast_fit(tmp_path, name, text)
+               for name, text in (("plain", ""), ("flat", FLAT_TABLE))}
+    assert written["flat"] == written["plain"]
+    _assert_library_composition(tmp_path, written["flat"], FLAT_TABLE)
+
+
+def test_cli_switch_and_contrast_fit_follow_the_coupling_table(tmp_path):
+    written = {name: _switch_and_contrast_fit(tmp_path, name, text)
+               for name, text in (("plain", ""), ("table", MET_TABLE))}
+    for name in written["plain"]:
+        assert written["table"][name] != written["plain"][name]
+    _assert_library_composition(tmp_path, written["table"], MET_TABLE)
+
+
 @pytest.mark.parametrize("text, message", [
     ("g_anchor_v = 5, 3\n",
      "g_anchor_v must be strictly increasing, got 3.0 (config key g_anchor_v)"),
