@@ -18,7 +18,7 @@ _EXPORTS = {
              "coupling_regime", "g_of_voltage", "kappa_from_q", "max_bandwidth",
              "pl_spectrum", "polariton_modes", "reflectivity_at", "reflectivity_spectrum",
              "vacuum_rabi_splitting", "weak_coupling_bandwidth"),
-    "electrostatics": ("DriveSpec", "ElectrostaticParams", "ShiftDataset",
+    "electrostatics": ("DriveSpec", "ElectrostaticParams", "EnergyBudget", "ShiftDataset",
                        "StarkCoefficients", "apply_screening", "depletion_width",
                        "field_at_cavity", "onset_voltage", "stark_shift",
                        "voltage_to_detuning"),
@@ -26,7 +26,7 @@ _EXPORTS = {
                "DegenerateTraceError", "DomainError", "IngestError", "QdSwitchError"),
     "fitting": ("FitResult", "dc_contrast", "fit_contrast", "fit_spectrum",
                 "fit_stark_curve", "reflectivity_model_jacobian", "stark_model"),
-    "switching": ("EnergyBudget", "TimeTrace", "drive_samples", "on_off_ratio",
+    "switching": ("TimeTrace", "drive_samples", "on_off_ratio",
                   "rc_response", "simulate_switching", "switching_energy"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -231,12 +231,10 @@ def _cmd_switch(cfg: RunConfig, args) -> _Written:
 def _cmd_metrics(cfg: RunConfig, args) -> _Written:
     # Figures of merit describe the configured operating point; the
     # contrast calibration only feeds the switching path.
-    from .switching import EnergyBudget, switching_energy
+    from .switching import switching_energy
 
     cqed = cfg.cqed_params()
     elec = cfg.electrostatic_params()
-    budget = EnergyBudget(cfg["active_volume_um3"], cfg["energy_field_v_per_um"],
-                          cfg["eps_r"])
     rows = [
         ("kappa_over_2pi_GHz", cqed.cavity_decay / TWO_PI, "GHz"),
         ("g_over_2pi_GHz", cqed.coupling / TWO_PI, "GHz"),
@@ -247,7 +245,7 @@ def _cmd_metrics(cfg: RunConfig, args) -> _Written:
         ("max_bandwidth_GHz", max_bandwidth(cqed), "GHz"),
         ("weak_coupling_bandwidth_GHz", weak_coupling_bandwidth(cqed), "GHz"),
         ("onset_voltage_V", onset_voltage(elec), "V"),
-        ("switching_energy_fJ", switching_energy(budget), "fJ"),
+        ("switching_energy_fJ", switching_energy(cfg.energy_budget()), "fJ"),
         ("screening", cfg.screening(), "dimensionless"),
     ]
     return [_Table("metrics.csv", ["metric", "value", "unit"], rows)], {}, [

@@ -14,7 +14,6 @@ ConfigError("<message> (config key <key>)").
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -22,8 +21,9 @@ from typing import Any
 import numpy as np
 
 from .constants import TWO_PI
-from .cqed import COUPLING_MAX, CqedParams, OpticalFrame, kappa_from_q
-from .electrostatics import DEFAULT_FIELD_SIGN, DriveSpec, ElectrostaticParams, StarkCoefficients
+from .cqed import CqedParams, OpticalFrame, kappa_from_q
+from .electrostatics import (BIAS_RANGE_V, DEFAULT_FIELD_SIGN, DriveSpec, ElectrostaticParams,
+                             EnergyBudget, StarkCoefficients)
 from .errors import ConfigError, DomainError, check_array, check_value, read_text
 
 
@@ -64,14 +64,16 @@ def _parse_targets(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-# Largest ordinary-GHz magnitude of a grid end or probe detuning: both
-# angular ends (x 2 pi) and the span between them stay finite.
-_ANGULAR_LIMIT = sys.float_info.max / (2.0 * TWO_PI)
-_ANGULAR_RANGE = ("[]", (-_ANGULAR_LIMIT, _ANGULAR_LIMIT))
+# Ordinary-GHz ranges of the CqedParams and detuning keys (the 935 nm carrier is
+# 3.2e5 GHz); the CqedParams fields keep the wider domains fit trial points need.
+_DETUNING_GHZ, _RATE_GHZ = ("[]", (-1e6, 1e6)), (1e-6, 1e6)
+_COUPLING_GHZ, _BIAS_V = ("[]", (0.0, 1e6)), ("[]", BIAS_RANGE_V)
+_GRID_POINTS_MAX = 10 ** 6  # of each sweep grid
 
-# type -> {field: key, or (key, default) where the field has none or a run needs
-# another (it always has a Q)}; the default's type, int or float, picks the parser.
-_FIELDS: dict[type, dict[str, str | tuple[str, float]]] = {
+# type -> {field: key, or (key, default[, (kind, bound)]) where the field has no
+# default, a run needs another (it always has a Q), or the key has a range of its
+# own}; the default's type, int or float, picks the parser.
+_FIELDS: dict[type, dict[str, str | tuple]] = {
     ElectrostaticParams: {
         "donor_density_cm3": ("nd_cm3", 9e15), "barrier_potential_v": ("phi_v", 0.36),
         "relative_permittivity": ("eps_r", 12.9), "electrode_distance_um": ("dx_um", 0.75)},
@@ -80,47 +82,49 @@ _FIELDS: dict[type, dict[str, str | tuple[str, float]]] = {
         "polarizability_mev_um2_per_v2": ("polarizability_mev_um2_per_v2", -0.015)},
     OpticalFrame: {"reference_wavelength_nm": "lambda0_nm",
                    "quality_factor": ("q_factor", 4000.0)},
-    CqedParams: {"cavity_freq": ("cavity_offset_ghz", 0.0), "dot_freq": ("dot_offset_ghz", 0.0),
-                 "coupling": ("g_ghz", 20.0), "dot_decay": ("gamma_ghz", 0.1),
-                 "amplitude": "amplitude", "background": "background"},
+    CqedParams: {"cavity_freq": ("cavity_offset_ghz", 0.0, _DETUNING_GHZ),
+                 "dot_freq": ("dot_offset_ghz", 0.0, _DETUNING_GHZ),
+                 "coupling": ("g_ghz", 20.0, _COUPLING_GHZ),
+                 "dot_decay": ("gamma_ghz", 0.1, ("[]", _RATE_GHZ)),
+                 "amplitude": ("amplitude", 1.0, ("[]", (1e-30, 1e30))),
+                 "background": ("background", 0.0, ("[]", (0.0, 1e30)))},
     DriveSpec: {"v_low": ("v_low_v", 0.0), "v_high": ("v_high_v", 10.0), "duty": "duty",
                 "frequency_mhz": ("drive_mhz", 150.0), "rc_cutoff_mhz": "rc_cutoff_mhz",
                 "cycles": "cycles", "samples_per_cycle": "samples_per_cycle"},
+    EnergyBudget: {"active_volume_um3": ("active_volume_um3", 0.2),
+                   "field_v_per_um": ("energy_field_v_per_um", 5.0)},
 }
 
 
-def _entries(cls) -> list[tuple[str, str, Any]]:
-    """(field, key, default) for each _FIELDS entry of cls."""
+def _entries(cls) -> list[tuple]:
+    """(field, key, default[, (kind, bound)]) for each _FIELDS entry of cls."""
     defaults = {f.name: f.default for f in fields(cls)}
     return [(name, *((entry, defaults[name]) if isinstance(entry, str) else entry))
             for name, entry in _FIELDS[cls].items()]
 
 
-# key -> (parser, default[, (kind, bound) of a key no domain type checks]):
-# the _FIELDS keys, then the keys that build no library type.
+# key -> (parser, default[, (kind, bound) checked as the key's line is read]): the
+# _FIELDS keys, then the keys that build no library type.
 _KEYS: dict[str, tuple] = {
-    **{key: (_parse_int if type(default) is int else _parse_float, default)
-       for cls in _FIELDS for _, key, default in _entries(cls)},
+    **{key: (_parse_int if type(default) is int else _parse_float, default, *checks)
+       for cls in _FIELDS for _, key, default, *checks in _entries(cls)},
     "field_sign": (_parse_float, DEFAULT_FIELD_SIGN),
     # Stark response
-    "fit_field_limit_v_per_um": (_parse_float, 5.0, (">", 0.0)),
+    "fit_field_limit_v_per_um": (_parse_float, 5.0, ("[]", (1e-3, 1e4))),
     "screening": (_parse_float, 1.0, ("[]", (0.0, 1.0))),
     # coupled system and its optional coupling-versus-bias anchors (ordinary GHz)
-    "kappa_ghz": (_parse_float, 0.0, (">=", 0.0)),  # 0 means derive from Q
+    "kappa_ghz": (_parse_float, 0.0),  # 0 means derive from Q; else in _RATE_GHZ
     "g_anchor_v": (_parse_float_list, ()), "g_anchor_ghz": (_parse_float_list, ()),
-    "probe_detuning_ghz": (_parse_float, 0.0, _ANGULAR_RANGE),
+    "probe_detuning_ghz": (_parse_float, 0.0, _DETUNING_GHZ),
     "contrast_targets": (_parse_targets, ()),  # contrast calibration targets
     # sweep grids
-    "v_start": (_parse_float, 0.0, (">=", 0.0)),
-    "v_stop": (_parse_float, 10.0),
-    "v_step": (_parse_float, 0.1, (">", 0.0)),
-    "detuning_start_ghz": (_parse_float, -150.0, _ANGULAR_RANGE),
-    "detuning_stop_ghz": (_parse_float, 150.0, _ANGULAR_RANGE),
-    "detuning_points": (_parse_int, 601, ("int>=", 2)),
-    "bias_v": (_parse_float, 0.0, (">=", 0.0)),
-    # figures of merit
-    "active_volume_um3": (_parse_float, 0.2, (">", 0.0)),
-    "energy_field_v_per_um": (_parse_float, 5.0, (">=", 0.0)),
+    "v_start": (_parse_float, 0.0, _BIAS_V),
+    "v_stop": (_parse_float, 10.0, _BIAS_V),
+    "v_step": (_parse_float, 0.1, ("[]", (1e-6, 1e5))),
+    "detuning_start_ghz": (_parse_float, -150.0, _DETUNING_GHZ),
+    "detuning_stop_ghz": (_parse_float, 150.0, _DETUNING_GHZ),
+    "detuning_points": (_parse_int, 601, ("int[]", (2, _GRID_POINTS_MAX))),
+    "bias_v": (_parse_float, 0.0, _BIAS_V),
     "fit_free": (str, "coupling,cavity_decay,dot_decay,amplitude"),
     "seed": (_parse_int, 0),  # recorded in the manifest only
 }
@@ -141,7 +145,7 @@ class RunConfig:
         """Construct cls from its _FIELDS keys, a *_ghz one (ordinary GHz) x 2 pi,
         and computed field=(key, value) pairs; a DomainError names that key."""
         pairs = {name: (key, TWO_PI * self[key] if key.endswith("_ghz") else self[key])
-                 for name, key, _ in _entries(cls)} | computed
+                 for name, key, *_ in _entries(cls)} | computed
         try:
             return cls(**{name: value for name, (_, value) in pairs.items()})
         except DomainError as exc:
@@ -157,17 +161,21 @@ class RunConfig:
         return self._build(OpticalFrame)
 
     def cavity_decay(self) -> float:
-        """Angular kappa: explicit kappa_ghz wins over the Q-derived value."""
-        if self["kappa_ghz"] > 0.0:
-            return TWO_PI * self["kappa_ghz"]
-        return kappa_from_q(self.optical_frame())
+        """Angular kappa: an explicit kappa_ghz wins over the Q-derived value."""
+        kappa = self["kappa_ghz"]
+        if kappa == 0.0:
+            return kappa_from_q(self.optical_frame())
+        return TWO_PI * check_value("kappa_ghz", kappa, "[]", _RATE_GHZ, field="kappa_ghz")
 
     def cqed_params(self) -> CqedParams:
-        key = "kappa_ghz" if self["kappa_ghz"] > 0.0 else "q_factor"
+        key = "q_factor" if self["kappa_ghz"] == 0.0 else "kappa_ghz"
         return self._build(CqedParams, cavity_decay=(key, self.cavity_decay()))
 
     def drive_spec(self) -> DriveSpec:
         return self._build(DriveSpec)
+
+    def energy_budget(self) -> EnergyBudget:
+        return self._build(EnergyBudget, relative_permittivity=("eps_r", self["eps_r"]))
 
     def g_anchors(self) -> tuple[tuple[float, float], ...] | None:
         """Optional (V, angular g) anchors; None when not configured."""
@@ -175,9 +183,8 @@ class RunConfig:
         gs = self["g_anchor_ghz"]
         if not volts and not gs:
             return None
-        check_array("g_anchor_v", volts, ("increasing",), field="g_anchor_v")
-        check_array("g_anchor_ghz", gs, (2, ("[]", (0.0, COUPLING_MAX / TWO_PI))),
-                    field="g_anchor_ghz")
+        check_array("g_anchor_v", volts, (_BIAS_V, "increasing"), field="g_anchor_v")
+        check_array("g_anchor_ghz", gs, (2, _COUPLING_GHZ), field="g_anchor_ghz")
         if len(gs) != len(volts):
             raise DomainError(f"g_anchor_ghz must give one coupling per g_anchor_v voltage, "
                               f"got {len(gs)} for {len(volts)}", field="g_anchor_ghz")
@@ -187,11 +194,11 @@ class RunConfig:
         start, stop, step = self["v_start"], self["v_stop"], self["v_step"]
         if stop < start:
             raise DomainError(f"v_stop must be >= v_start, got {stop}", field="v_stop")
-        span = (stop - start) / step + 1e-9
-        if not 8.0 * (span + 1.0) <= sys.maxsize:  # a float64 grid numpy can index
-            raise DomainError(f"v_step must give at most {sys.maxsize // 8} grid points "
-                              f"from v_start to v_stop, got {span + 1.0:g}", field="v_step")
-        return start + step * np.arange(int(math.floor(span)) + 1)
+        points = math.floor((stop - start) / step + 1e-9) + 1
+        if points > _GRID_POINTS_MAX:
+            raise DomainError(f"v_step must give at most {_GRID_POINTS_MAX} grid points "
+                              f"from v_start to v_stop, got {points}", field="v_step")
+        return start + step * np.arange(points)
 
     def detuning_grid(self) -> np.ndarray:
         """Angular grid from the ordinary-GHz config window."""
@@ -263,13 +270,13 @@ def _validate(cfg: RunConfig) -> None:
     """Build every domain object once so bad values fail at parse time,
     raising DomainError with field set to the offending key."""
     for build in (cfg.electrostatic_params, cfg.stark_coefficients, cfg.optical_frame,
-                  cfg.cqed_params, cfg.drive_spec, cfg.g_anchors, cfg.voltage_grid,
-                  cfg.detuning_grid, cfg.fit_free):
+                  cfg.cqed_params, cfg.drive_spec, cfg.energy_budget, cfg.g_anchors,
+                  cfg.voltage_grid, cfg.detuning_grid, cfg.fit_free):
         build()
     if cfg["contrast_targets"]:
         volts, ratios = zip(*cfg["contrast_targets"])
-        check_array("contrast_targets voltages", volts, (2, (">=", 0.0)),
+        check_array("contrast_targets voltages", volts, (2, _BIAS_V), field="contrast_targets")
+        check_array("contrast_targets ratios", ratios, (("[]", (1.0, 1e6)),),
                     field="contrast_targets")
-        check_array("contrast_targets ratios", ratios, ((">=", 1.0),), field="contrast_targets")
     if abs(cfg["field_sign"]) != 1.0:
         raise DomainError("field_sign must be +1 or -1", field="field_sign")

@@ -57,8 +57,9 @@ _CQED_FIELDS = tuple(f.name for f in fields(CqedParams))
 class OpticalFrame:
     """Reference optical frame: operating wavelength and loaded Q."""
 
-    reference_wavelength_nm: float = domain(">", 0.0, label="reference_wavelength", default=935.0)
-    quality_factor: float | None = domain(">", 0.0, default=None)
+    reference_wavelength_nm: float = domain("[]", (0.1, 1e7), label="reference_wavelength",
+                                            default=935.0)
+    quality_factor: float | None = domain("[]", (1.0, 1e9), default=None)
 
     __post_init__ = check_domains
 
@@ -168,10 +169,9 @@ def pl_spectrum(params: CqedParams, detunings) -> Spectrum:
     polariton positions with the polariton half widths."""
     grid = np.asarray(detunings, dtype=float)
     total = np.zeros_like(grid)
-    with np.errstate(over="ignore"):  # a term whose square overflows is exactly 0.0
-        for mode in polariton_modes(params):
-            center, hwhm = mode.real, -mode.imag
-            total += hwhm ** 2 / ((grid - center) ** 2 + hwhm ** 2)
+    for mode in polariton_modes(params):
+        center, hwhm = mode.real, -mode.imag
+        total += hwhm ** 2 / ((grid - center) ** 2 + hwhm ** 2)
     return Spectrum(grid, params.background + params.amplitude * total)
 
 

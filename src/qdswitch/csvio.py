@@ -150,7 +150,8 @@ def _pack(f, fields) -> None:
 
 def _read_rows(path: Path | str) -> tuple[list[str], np.ndarray]:
     """Header names and one contiguous float array per column.  The first
-    non-blank line is the header; blank lines anywhere are skipped."""
+    non-blank line is the header; blank lines anywhere are skipped.  A message
+    names a line by its number, counting every line as str.splitlines does."""
     if not Path(path).is_file():
         raise IngestError(f"data file not found: {str(path)!r}")
     path = Path(path)
@@ -168,13 +169,12 @@ def _read_rows(path: Path | str) -> tuple[list[str], np.ndarray]:
             if values.shape[1] == _INGEST_COLUMNS:
                 return header, values.T.copy()
     # Row by row: drops whitespace-only lines, names the first malformed line
-    # (counting non-blank lines) and reads any number syntax float() accepts
-    # but loadtxt does not.
-    body = [line for line in body if line.strip()]
+    # and reads any number syntax float() accepts but loadtxt does not.
+    body = [(lineno, line) for lineno, line in enumerate(body, start=first + 2) if line.strip()]
     if not body:
         raise IngestError(f"{path}: no data rows")
     rows = []
-    for lineno, line in enumerate(body, start=2):
+    for lineno, line in body:
         parts = line.split(",")
         if len(parts) != _INGEST_COLUMNS:
             raise IngestError(f"{path}:{lineno}: expected {_INGEST_COLUMNS} values")
@@ -183,6 +183,12 @@ def _read_rows(path: Path | str) -> tuple[list[str], np.ndarray]:
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: non-numeric value") from exc
     return header, np.array(rows).T.copy()
+
+
+def _line_of(path: Path | str, row: int) -> int:
+    """The line number, as _read_rows counts, of data row row (from 0)."""
+    lines = read_text(Path(path), IngestError).splitlines()
+    return [k for k, line in enumerate(lines, start=1) if line.strip()][row + 1]
 
 
 def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
@@ -201,8 +207,8 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
             f"{path}: first column must be '{SPECTRUM_WAVELENGTH_HEADER}' or "
             f"'{SPECTRUM_DETUNING_HEADER}', got '{mode}'")
     if np.any(y < 0.0):
-        bad = int(np.argmax(y < 0.0)) + 2
-        raise IngestError(f"{path}:{bad}: negative intensity")
+        raise IngestError(f"{path}:{_line_of(path, int(np.argmax(y < 0.0)))}: "
+                          f"negative intensity")
 
     given = x
     with np.errstate(over="ignore"):  # an overflow is named by its line below
@@ -217,8 +223,8 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
         overflow = np.isinf(x) & np.isfinite(given)
         if overflow.any():
             bad = int(np.argmax(overflow))
-            raise IngestError(f"{path}:{bad + 2}: {mode} {float(given[bad])!r} overflows "
-                              f"in the conversion to angular detuning") from None
+            raise IngestError(f"{path}:{_line_of(path, bad)}: {mode} {float(given[bad])!r} "
+                              f"overflows in the conversion to angular detuning") from None
         raise IngestError(f"{path}: {exc}") from exc
     try:
         order = np.argsort(x, kind="stable")

@@ -11,14 +11,13 @@ has passed it (x_d > electrode distance); below that onset the shift is
 exactly zero.  Surface states are not modeled.
 
 The bias-side data types live here too, so that config and CSV ingest
-need no heavier layer: DriveSpec, the applied bias waveform, and
-ShiftDataset, measured (bias, Stark shift) samples.
+need no heavier layer: DriveSpec, the applied bias waveform, EnergyBudget,
+the stored-field energy, and ShiftDataset, measured (bias, shift) samples.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,9 @@ from .constants import (
     VACUUM_PERMITTIVITY_F_UM,
 )
 from .errors import DomainError, check_array, check_domains, check_value, domain
+
+BIAS_RANGE_V = (0.0, 1e5)  # every reverse bias: rails, sweeps, anchors, targets
+PERMITTIVITY_RANGE = (1.0, 1e5)  # relative, of the host
 
 # Sign convention for the field seen by the dot: negative toward the
 # electrode.  With the fitted coefficients below this reproduces the
@@ -47,10 +49,10 @@ class ElectrostaticParams:
     electrode_distance_um: electrode edge to cavity center, um
     """
 
-    donor_density_cm3: float = domain(">", 0.0, label="donor_density")
-    barrier_potential_v: float = domain(">", 0.0, label="barrier_potential")
-    relative_permittivity: float = domain(">=", 1.0)
-    electrode_distance_um: float = domain(">", 0.0, label="electrode_distance")
+    donor_density_cm3: float = domain("[]", (1e6, 1e22), label="donor_density")
+    barrier_potential_v: float = domain("[]", (1e-4, 1e3), label="barrier_potential")
+    relative_permittivity: float = domain("[]", PERMITTIVITY_RANGE)
+    electrode_distance_um: float = domain("[]", (1e-4, 1e3), label="electrode_distance")
 
     __post_init__ = check_domains
 
@@ -61,12 +63,10 @@ class StarkCoefficients:
 
     dipole_mev_um_per_v: permanent-dipole (linear) coefficient, meV um/V
     polarizability_mev_um2_per_v2: quadratic coefficient, meV um^2/V^2
-
-    Both may be negative; no sign constraint beyond finiteness.
     """
 
-    dipole_mev_um_per_v: float = domain("finite")
-    polarizability_mev_um2_per_v2: float = domain("finite")
+    dipole_mev_um_per_v: float = domain("[]", (-1e3, 1e3))
+    polarizability_mev_um2_per_v2: float = domain("[]", (-1e3, 1e3))
 
     __post_init__ = check_domains
 
@@ -80,23 +80,18 @@ class DriveSpec:
     duty * samples_per_cycle should be an integer (it is rounded to one).
     """
 
-    v_low: float = domain(">=", 0.0)
-    v_high: float = domain("finite")
-    # Bounded so that period_ns is finite and tau_ns > 0.
-    frequency_mhz: float = domain(">", 1e3 / sys.float_info.max, label="drive_frequency")
+    v_low: float = domain("[]", BIAS_RANGE_V)
+    v_high: float = domain("[]", BIAS_RANGE_V)
+    frequency_mhz: float = domain("[]", (1e-3, 1e6), label="drive_frequency")
     duty: float = domain("()", (0.0, 1.0), default=0.5)
-    rc_cutoff_mhz: float = domain("()", (0.0, sys.float_info.max / (2.0 * math.pi)),
-                                  label="rc_cutoff", default=100.0)
-    cycles: int = domain("int>=", 3, default=9)
-    samples_per_cycle: int = domain("int>=", 64, default=256)
+    rc_cutoff_mhz: float = domain("[]", (1e-3, 1e6), label="rc_cutoff", default=100.0)
+    cycles: int = domain("int[]", (3, 10 ** 6), default=9)
+    samples_per_cycle: int = domain("int[]", (64, 10 ** 6), default=256)
 
     def __post_init__(self) -> None:
         check_domains(self)
         if not self.v_high >= self.v_low:
             raise DomainError("v_high must be >= v_low", field="v_high")
-        if math.isinf(self.cycles * self.period_ns):
-            raise DomainError(f"cycles must give a finite trace span, got {self.cycles}",
-                              field="cycles")
 
     @property
     def period_ns(self) -> float:
@@ -112,6 +107,17 @@ class DriveSpec:
         """Samples per cycle at v_high: duty * samples_per_cycle, rounded into [1, spc - 1]."""
         spc = int(self.samples_per_cycle)
         return min(max(round(self.duty * spc), 1), spc - 1)
+
+
+@dataclass(frozen=True)
+class EnergyBudget:
+    """Stored-field energy inputs: volume in um^3, field in V/um."""
+
+    active_volume_um3: float = domain("[]", (1e-6, 1e6))
+    field_v_per_um: float = domain("[]", (0.0, 1e4))
+    relative_permittivity: float = domain("[]", PERMITTIVITY_RANGE)
+
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,12 @@ _KINDS = {
     "()": (lambda b: (math.nextafter(b[0], math.inf), math.nextafter(b[1], -math.inf)),
            "be in ({0[0]:g}, {0[1]:g})"),
     "[]": (lambda b: b, "be in [{0[0]:g}, {0[1]:g}]"),
-    "int>=": (lambda b: (b, _MAX), "be an integer >= {0:g}"),
+    "int[]": (lambda b: b, "be an integer in [{0[0]:g}, {0[1]:g}]"),
 }
 
 
 def _message(label: str, value, kind: str, bound) -> str:
-    rule = _KINDS[kind][1] if kind == "int>=" or math.isfinite(value) else "be finite"
+    rule = _KINDS[kind][1] if kind == "int[]" or math.isfinite(value) else "be finite"
     return f"{label} must {rule.format(bound)}, got {value}"
 
 
@@ -94,7 +94,7 @@ def check_value(label: str, value, kind: str, bound=None, field: str | None = No
     """Return value if it lies in the domain (kind, bound), else raise
     DomainError("<label> must ..., got <value>", field=field)."""
     low, high = _KINDS[kind][0](bound)
-    if not low <= value <= high or kind == "int>=" and value % 1:
+    if not low <= value <= high or kind == "int[]" and value % 1:
         raise DomainError(_message(label, value, kind, bound), field=field)
     return value
 
@@ -179,5 +179,5 @@ def check_domains(obj) -> None:
                 raise DomainError(f"{label} must have shape {first[1]} like {first[0]}, "
                                   f"got shape {array.shape}", field=name)
             object.__setattr__(obj, name, array)
-        elif not (optional and value is None or low <= value <= high and kind != "int>="):
+        elif not (optional and value is None or low <= value <= high and kind != "int[]"):
             check_value(label, value, kind, bound, field=name)

@@ -23,6 +23,7 @@ from .electrostatics import (
     DEFAULT_FIELD_SIGN,
     DriveSpec,
     ElectrostaticParams,
+    EnergyBudget,
     StarkCoefficients,
     voltage_to_detuning,
 )
@@ -38,17 +39,6 @@ class TimeTrace:
 
     times: np.ndarray = domain("array", (2, "increasing", ("finite",), "uniform"))
     values: np.ndarray = domain("array", ((">=", 0.0),))
-
-    __post_init__ = check_domains
-
-
-@dataclass(frozen=True)
-class EnergyBudget:
-    """Stored-field energy inputs: volume in um^3, field in V/um."""
-
-    active_volume_um3: float = domain(">", 0.0)
-    field_v_per_um: float = domain(">=", 0.0)
-    relative_permittivity: float = domain(">", 0.0)
 
     __post_init__ = check_domains
 
@@ -133,15 +123,13 @@ def simulate_switching(
 
     # The line's cycle map y -> L + (H + (y - H) a_h - L) a_l has the fixed point
     # (L (1 - a_l) + H (1 - a_h) a_l) / (1 - a_h a_l), each 1 - a by expm1 so a slow line
-    # does not cancel, clamped to the rails, which underflow can round it past.  If tau
-    # overflows, 1 - a_h a_l is 0 and the line stays at v_low.
+    # does not cancel, clamped to the rails, which underflow can round it past.
     spc, high = int(drive.samples_per_cycle), drive.high_samples
     skip = math.ceil(drive.cycles / 3)
     times = _sample_times(drive, skip * spc)  # first, so a size too large fails at once
     steps = np.array([high, spc - high, spc]) * (drive.period_ns / spc) / drive.tau_ns
     rise_h, rise_l, rise = -np.expm1(-steps)
-    start = ((drive.v_low * rise_l + drive.v_high * rise_h * math.exp(-steps[1])) / rise
-             if rise > 0.0 else drive.v_low)
+    start = (drive.v_low * rise_l + drive.v_high * rise_h * math.exp(-steps[1])) / rise
     volts = _rc_line(drive, min(max(start, drive.v_low), drive.v_high), 1)
     detune = voltage_to_detuning(elec, stark, volts, screening=screening, field_sign=field_sign)
     g = None if g_anchors is None else g_of_voltage(g_anchors, volts)

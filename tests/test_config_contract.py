@@ -1,26 +1,28 @@
-"""Every rejected config value names its own key.
+"""Every rejected config value names its own key; every accepted one runs.
 
 Single-key overrides on top of the paper preset: a non-finite number for
 every float key, and an out-of-range or malformed value for every key
 that has a range, must raise ConfigError ending "(config key <key>)"; on
 the command line that is exit 1 with no CSV.  Relational violations that
 name the other key of their pair (v_low_v above v_high_v,
-detuning_start_ghz above detuning_stop_ghz) are left out.
+detuning_start_ghz above detuning_stop_ghz) are left out.  Each numeric
+key has one physical range, and a run with the key at either end of it
+exits 0 with finite cells or exits 1 naming a key.
 """
 
 import json
 import math
 import re
-import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdswitch import (
+    AdiabaticityWarning,
     ConfigError,
     CqedParams,
     DomainError,
@@ -30,8 +32,16 @@ from qdswitch import (
     StarkCoefficients,
 )
 from qdswitch.cli import _preset_path, main
-from qdswitch.config import _KEYS, _parse_float, _parse_float_list, parse_config
-from qdswitch.constants import TWO_PI
+from qdswitch.config import (
+    _FIELDS,
+    _KEYS,
+    _RATE_GHZ,
+    _entries,
+    _parse_float,
+    _parse_float_list,
+    _parse_int,
+    parse_config,
+)
 from qdswitch.cqed import COUPLING_MAX
 
 FLOAT_KEYS = [key for key, spec in _KEYS.items()
@@ -60,26 +70,39 @@ OUT_OF_RANGE = [
     ("phi_v", "high"), ("cycles", "2.5"), ("seed", "x"), ("contrast_targets", "10"),
 ]
 
-# Per-key strategies of out-of-range numbers, written with repr.
-_NEGATIVE = st.floats(max_value=-5e-324)
-_NOT_POSITIVE = st.floats(max_value=0.0)
-RANGE_STRATEGIES = {
-    "nd_cm3": _NOT_POSITIVE, "phi_v": _NOT_POSITIVE, "dx_um": _NOT_POSITIVE,
-    "eps_r": st.floats(max_value=1.0, exclude_max=True),
-    "field_sign": st.floats().filter(lambda x: abs(x) != 1.0),
-    "fit_field_limit_v_per_um": _NOT_POSITIVE,
-    "screening": _NEGATIVE | st.floats(min_value=1.0, exclude_min=True),
-    "lambda0_nm": _NOT_POSITIVE, "q_factor": _NOT_POSITIVE, "kappa_ghz": _NEGATIVE,
-    "g_ghz": _NEGATIVE, "gamma_ghz": _NOT_POSITIVE, "amplitude": _NOT_POSITIVE,
-    "background": _NEGATIVE, "v_low_v": _NEGATIVE, "v_high_v": _NEGATIVE,
-    "drive_mhz": _NOT_POSITIVE, "duty": _NOT_POSITIVE | st.floats(min_value=1.0),
-    "rc_cutoff_mhz": _NOT_POSITIVE, "v_start": _NEGATIVE, "v_stop": _NEGATIVE,
-    "v_step": _NOT_POSITIVE, "detuning_stop_ghz": st.floats(max_value=-150.0),
-    "bias_v": _NEGATIVE, "active_volume_um3": _NOT_POSITIVE,
-    "energy_field_v_per_um": _NEGATIVE,
-    "cycles": st.integers(max_value=2), "samples_per_cycle": st.integers(max_value=63),
-    "detuning_points": st.integers(max_value=1),
-}
+
+def _declared_ranges() -> dict[str, tuple]:
+    """key -> (kind, (low, high)) of every numeric key that has a range: its own,
+    else that of the library field it builds; kappa_ghz's holds when it is not 0."""
+    ranges = {"kappa_ghz": ("[]", _RATE_GHZ)}
+    for cls in _FIELDS:
+        domains = {f.name: f.metadata["domain"][:2] for f in fields(cls)}
+        for name, key, _, *own in _entries(cls):
+            ranges[key] = own[0] if own else domains[name]
+    ranges.update((key, spec[2]) for key, spec in _KEYS.items() if len(spec) == 3)
+    return ranges
+
+
+RANGES = _declared_ranges()
+UNRANGED = {"field_sign", "seed", "g_anchor_v", "g_anchor_ghz", "contrast_targets", "fit_free"}
+
+
+def _ends(key):
+    """The two ends of key's range, each the nearest value inside an open end."""
+    kind, (low, high) = RANGES[key]
+    if kind == "()":
+        return math.nextafter(low, math.inf), math.nextafter(high, -math.inf)
+    return low, high
+
+
+def _outside(key):
+    """Finite numbers below and above key's range (kappa_ghz's 0 aside)."""
+    kind, (low, high) = RANGES[key]
+    if kind == "int[]":
+        return st.integers(max_value=low - 1) | st.integers(min_value=high + 1)
+    below = st.floats(max_value=low, exclude_max=kind == "[]", allow_infinity=False)
+    above = st.floats(min_value=high, exclude_min=kind == "[]", allow_infinity=False)
+    return (below | above).filter(lambda x: key != "kappa_ghz" or x != 0.0)
 
 
 def _override(tmp_path, key, text):
@@ -100,23 +123,29 @@ def test_config_rejection_names_its_key(tmp_path, key, text):
 
 
 def test_contract_table_covers_every_key():
-    ranged = {key for key, _ in OUT_OF_RANGE} | set(RANGE_STRATEGIES)
-    no_range = {"dipole_mev_um_per_v", "polarizability_mev_um2_per_v2",
-                "cavity_offset_ghz", "dot_offset_ghz", "probe_detuning_ghz",
-                "detuning_start_ghz"}
-    assert ranged | no_range | set(FLOAT_KEYS) == set(_KEYS)
+    ranged = {key for key, _ in OUT_OF_RANGE} | set(RANGES)
+    assert ranged | set(FLOAT_KEYS) == set(_KEYS)
+    assert set(RANGES) | UNRANGED == set(_KEYS)
 
 
-def test_readme_config_table_lists_every_key_with_its_default():
-    # Each row names its keys and their defaults in backticks, in order;
-    # "unset" is an empty list, and "in the preset" gives the preset's
-    # value of a key that has none by default.
+def test_every_range_is_closed_and_physical():
+    # Both ends are finite, and no end nears where a float overflows: the
+    # widest is the 1e30 spectrum scale.
+    for key, (kind, (low, high)) in RANGES.items():
+        assert kind in ("[]", "()", "int[]"), key
+        assert -1e30 <= low < high <= 1e30, key
+
+
+def test_readme_config_table_lists_every_key_with_its_default_and_range():
+    # Each row names its keys, their defaults and their ranges in backticks,
+    # in order; "unset" is an empty list, and "in the preset" gives the
+    # preset's value of a key that has none by default.
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n")[1]
+    table = readme.split("| key | default | range | meaning |\n| --- | --- | --- | --- |\n")[1]
     preset = parse_config(_preset_path("paper"))
-    documented = {}
+    documented, ranges = {}, {}
     for line in table[:table.index("\n\n")].splitlines():
-        keys, defaults, _ = line.strip("|").split(" | ", 2)
+        keys, defaults, limits, _ = line.strip("|").split(" | ", 3)
         keys, texts = re.findall("`([^`]+)`", keys), re.findall("`([^`]+)`", defaults)
         for key, text in zip(keys, texts or [""] * len(keys)):
             value = _KEYS[key][0](text)
@@ -124,12 +153,16 @@ def test_readme_config_table_lists_every_key_with_its_default():
                 assert preset[key] == value
                 value = ()
             documented[key] = value
+        for key, text in zip(keys, re.findall(r"`([\[(][^`]+[\])])`", limits)):
+            kind = "()" if text[0] == "(" else "int[]" if _KEYS[key][0] is _parse_int else "[]"
+            ranges[key] = (kind, tuple(float(end) for end in text[1:-1].split(",")))
     assert documented == {key: spec[1] for key, spec in _KEYS.items()}
+    assert {key: ranges[key] for key in RANGES} == RANGES
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(RANGE_STRATEGIES)).flatmap(
-    lambda key: st.tuples(st.just(key), RANGE_STRATEGIES[key])))
+@given(st.sampled_from(sorted(RANGES)).flatmap(
+    lambda key: st.tuples(st.just(key), _outside(key))))
 def test_config_out_of_range_numbers_name_their_key(tmp_path_factory, case):
     key, value = case
     _assert_names_key(tmp_path_factory.mktemp("cfg"), key, repr(value))
@@ -146,16 +179,29 @@ def test_config_out_of_range_numbers_name_their_key(tmp_path_factory, case):
     ("fit --kind contrast", "screening", "1.5"),
     ("fit --kind spectrum --data spectrum.csv", "fit_free", "bogus"),
     ("fit --kind spectrum --data spectrum.csv", "fit_free", ","),
+    # Far past a physical range: each of these used to fail later, on a
+    # non-finite product, or blame another key.
+    ("switch", "probe_detuning_ghz", "1e307"),
+    ("switch", "g_ghz", "1e150"),
+    ("switch", "kappa_ghz", "1e-300"),
+    ("switch", "phi_v", "1e300"),
+    ("switch", "dipole_mev_um_per_v", "1e300"),
+    ("stark", "nd_cm3", "1e-300"),
 ])
 def test_cli_config_rejection_exits_1_naming_its_key(tmp_path, capsys, command, key, text):
     out = tmp_path / "o"
+    out.mkdir()
+    (out / "kept.csv").write_text("x\n1\n", encoding="utf-8")
     code = main([*command.split(), "--preset", "paper", "--config",
                  str(_override(tmp_path, key, text)), "--out", str(out)])
     assert code == 1
-    record = json.loads(capsys.readouterr().err.strip())
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
     assert record["error_class"] == "ConfigError"
     assert record["message"].endswith(f"(config key {key})")
-    assert not list(out.glob("*.csv"))
+    assert [p.name for p in out.iterdir()] == ["kept.csv"]
+    assert (out / "kept.csv").read_text(encoding="utf-8") == "x\n1\n"
 
 
 # -- every validated type names the field it rejects ---------------------------
@@ -172,25 +218,25 @@ _VALID = {
     OpticalFrame: dict(reference_wavelength_nm=935.0, quality_factor=4000.0),
 }
 _BAD = {
-    ElectrostaticParams: {"donor_density_cm3": [0.0, -1.0, math.nan],
-                          "barrier_potential_v": [0.0, math.nan],
-                          "relative_permittivity": [0.5, math.nan],
-                          "electrode_distance_um": [0.0, math.nan]},
-    StarkCoefficients: {"dipole_mev_um_per_v": [math.nan, math.inf],
-                        "polarizability_mev_um2_per_v2": [math.nan, -math.inf]},
-    DriveSpec: {"v_low": [-1.0, math.nan, math.inf], "v_high": [-1.0, math.nan],
-                "frequency_mhz": [0.0, math.nan, 1e-310, 1e3 / sys.float_info.max],
+    ElectrostaticParams: {"donor_density_cm3": [0.0, -1.0, math.nan, 1e-300, 2e22],
+                          "barrier_potential_v": [0.0, math.nan, 1e300],
+                          "relative_permittivity": [0.5, math.nan, 2e5],
+                          "electrode_distance_um": [0.0, math.nan, 2e3]},
+    StarkCoefficients: {"dipole_mev_um_per_v": [math.nan, math.inf, 1e300, -2e3],
+                        "polarizability_mev_um2_per_v2": [math.nan, -math.inf, 2e3]},
+    DriveSpec: {"v_low": [-1.0, math.nan, math.inf, 2e5], "v_high": [-1.0, math.nan, 2e5],
+                "frequency_mhz": [0.0, math.nan, 1e-310, 2e6],
                 "duty": [0.0, 1.0, math.nan],
-                "rc_cutoff_mhz": [0.0, math.inf, 1e308, sys.float_info.max / TWO_PI],
-                "cycles": [2, 3.5, 10 ** 308],
-                "samples_per_cycle": [63, 64.5]},
+                "rc_cutoff_mhz": [0.0, math.inf, 1e-310, 1e308],
+                "cycles": [2, 3.5, 10 ** 6 + 1, 10 ** 308],
+                "samples_per_cycle": [63, 64.5, 10 ** 6 + 1]},
     # The mode offsets are unconstrained.
     CqedParams: {"coupling": [-1.0, math.nextafter(COUPLING_MAX, math.inf)],
                  "cavity_decay": [0.0, math.nan],
                  "dot_decay": [0.0, math.nan], "amplitude": [0.0, math.nan],
                  "background": [-1.0]},
-    OpticalFrame: {"reference_wavelength_nm": [0.0, math.nan],
-                   "quality_factor": [0.0, math.nan]},
+    OpticalFrame: {"reference_wavelength_nm": [0.0, math.nan, 2e7],
+                   "quality_factor": [0.0, math.nan, 1e300]},
 }
 
 
@@ -210,35 +256,9 @@ def test_bad_value_table_covers_every_checked_field():
         assert set(table) | unchecked == {f.name for f in fields(cls)}
 
 
-def test_extreme_accepted_values_keep_derived_quantities_finite():
-    low_drive = math.nextafter(1e3 / sys.float_info.max, math.inf)
-    high_cutoff = math.nextafter(sys.float_info.max / TWO_PI, -math.inf)
-    assert DriveSpec(**{**_VALID[DriveSpec], "rc_cutoff_mhz": high_cutoff}).tau_ns > 0.0
-    # Any cycles >= 3 times that period overflows, so only the span check,
-    # which compares two fields, rejects the lowest drive frequency.
-    with pytest.raises(DomainError) as info:
-        DriveSpec(**{**_VALID[DriveSpec], "frequency_mhz": low_drive})
-    assert info.value.field == "cycles"
-    assert math.isfinite(DriveSpec.period_ns.fget(SimpleNamespace(frequency_mhz=low_drive)))
-    cqed = CqedParams(**{**_VALID[CqedParams], "coupling": COUPLING_MAX})
-    assert math.isfinite(cqed.coupling ** 2)
-
-
-def test_largest_ordinary_coupling_stays_in_the_angular_domain(tmp_path):
-    # g_ghz and g_anchor_ghz at their bound both convert (x 2 pi) to a coupling
-    # CqedParams accepts.
-    largest = COUPLING_MAX / TWO_PI
-    assert TWO_PI * largest <= COUPLING_MAX
-    path = tmp_path / "edge.cfg"
-    path.write_text(f"g_ghz = {largest!r}\ng_anchor_v = 0, 5\ng_anchor_ghz = 20, {largest!r}\n",
-                    encoding="utf-8")
-    cfg = parse_config(_preset_path("paper"), path)
-    assert cfg.cqed_params().coupling == TWO_PI * largest
-    assert cfg.g_anchors()[1] == (5.0, cfg.cqed_params().coupling)
-
-
-# Finite config values whose angular form (x 2 pi) overflows to inf, and a
-# coupling whose angular form is finite but whose square overflows.
+# Finite values far past their range, among them angular forms (x 2 pi) that
+# overflow, couplings whose square overflows, and drive values whose time
+# constant or trace span overflows.
 @pytest.mark.parametrize("command", ["spectrum", "metrics", "switch"])
 @pytest.mark.parametrize("key, text", [
     *(pytest.param(key, "1e308", id=key)
@@ -258,7 +278,6 @@ def test_cli_overflowing_angular_value_exits_1_naming_its_key(tmp_path, capsys, 
     assert not list(out.glob("*.csv"))
 
 
-# Finite drive values whose derived times overflow: tau_ns 0, or an inf trace span.
 @pytest.mark.parametrize("key, text", [("rc_cutoff_mhz", "1e308"), ("rc_cutoff_mhz", "3e307"),
                                        ("drive_mhz", "1e-310"),
                                        pytest.param("cycles", "1" + "0" * 308, id="cycles-1e308")])
@@ -272,6 +291,54 @@ def test_cli_switch_overflowing_drive_time_exits_1_naming_its_key(tmp_path, caps
     assert record["error_class"] == "ConfigError"
     assert record["message"].endswith(f"(config key {key})")
     assert not list(out.glob("*.csv"))
+
+
+# -- every range end runs ---------------------------------------------------------
+
+# Upper ends whose switch trace a unit test cannot hold: 10**6 cycles of the
+# preset's 256 samples (1.7e8 samples, 1.4 GB of times alone), and 10**6
+# samples per cycle (a 212 MB trace file).  The other commands only build
+# their DriveSpec.
+TOO_LARGE = {("cycles", "switch"), ("samples_per_cycle", "switch")}
+# A coupling table at both ends of its voltage and coupling ranges.
+ANCHOR_ENDS = "g_anchor_v = 0, 100000\ng_anchor_ghz = 1000000, 0\n"
+
+
+def _range_end_cases():
+    for key in sorted(RANGES):
+        for end, value in zip(("low", "high"), _ends(key)):
+            for command in ("stark", "spectrum", "metrics", "switch"):
+                if end == "high" and (key, command) in TOO_LARGE:
+                    continue
+                yield pytest.param(command, f"{key} = {value!r}\n",
+                                   id=f"{key}-{end}-{command}")
+    for command in ("spectrum", "switch"):
+        yield pytest.param(command, ANCHOR_ENDS, id=f"g_anchor-ends-{command}")
+
+
+@pytest.mark.parametrize("command, line", _range_end_cases())
+def test_each_range_end_runs_or_names_a_key(tmp_path, capsys, command, line):
+    # The contrast calibration is left out: its solver may stop without
+    # converging, which is not a range's doing.  A drive near the cavity
+    # linewidth warns that quasi-static intensities are unreliable; any other
+    # warning fails the run.
+    path = tmp_path / "end.cfg"
+    path.write_text("contrast_targets =\n" + line, encoding="utf-8")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        code = main([command, "--preset", "paper", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 1:
+        key = re.search(r"\(config key (\w+)\)$", json.loads(err)["message"]).group(1)
+        assert key in _KEYS
+        return
+    assert (code, err) == (0, "")
+    # Cells are written as repr, which spells a non-finite float nan, inf or -inf.
+    for csv in out.glob("*.csv"):
+        text = csv.read_text(encoding="utf-8")
+        assert not re.search(r"(^|,)-?(nan|inf)(,|$)", text, re.M), csv.name
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

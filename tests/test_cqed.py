@@ -54,9 +54,10 @@ def test_kappa_from_q_high_q_cavity():
     assert kappa == pytest.approx(9.43, rel=1e-3)
 
 
-def test_kappa_vanishes_for_lossless_cavity():
-    assert kappa_from_q(OpticalFrame(935.0, 1e15)) < 1e-8
-    assert kappa_from_q(OpticalFrame(935.0, 1e18)) < 1e-11
+def test_kappa_falls_as_one_over_q_to_the_top_of_its_range():
+    assert kappa_from_q(OpticalFrame(935.0, 1e9)) < 1.1e-3
+    assert kappa_from_q(OpticalFrame(935.0, 1e9)) == pytest.approx(
+        4e-6 * kappa_from_q(OpticalFrame(935.0, 4000.0)), rel=1e-15)
 
 
 def test_kappa_requires_positive_q():

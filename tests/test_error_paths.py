@@ -394,7 +394,11 @@ def test_library_rejects_bad_input(case):
     (ingest_spectrum_csv, "detuning_GHz,intensity\n \n\t\n\n", "d.csv: no data rows$"),
     (ingest_spectrum_csv, " \n\r\n", "d.csv: empty file$"),
     (ingest_spectrum_csv, "\r\n\r\ndetuning_GHz,intensity\r\n\r\n0,1\r\n1,x\r\n",
-     "d.csv:3: non-numeric value$"),
+     "d.csv:6: non-numeric value$"),
+    (ingest_spectrum_csv, "\n \ndetuning_GHz,intensity\n0,1\n1,-2\n",
+     "d.csv:5: negative intensity$"),
+    (ingest_spectrum_csv, "\n\t\ndetuning_GHz,intensity\n0,1\n-1e308,1\n",
+     r"d.csv:5: detuning_GHz -1e\+308 overflows in the conversion to angular detuning$"),
     (ingest_spectrum_csv, "detuning_GHz,intensity\n0,1\n-1e308,1\n",
      r"d.csv:3: detuning_GHz -1e\+308 overflows in the conversion to angular detuning$"),
     (ingest_spectrum_csv, "wavelength_nm,intensity\n1e308,1\n935,1\n",
@@ -404,6 +408,7 @@ def test_library_rejects_bad_input(case):
 ], ids=["wrong-width header", "no data rows", "no data rows, header without newline",
         "no data rows, CRLF and blank lines", "no data rows, whitespace-only lines",
         "only blank lines", "malformed row after blank lines",
+        "negative intensity after blank lines", "overflow after blank lines",
         "finite detuning that overflows", "finite wavelength whose detuning overflows",
         "Latin-1 byte after a byte-order mark"])
 def test_ingest_rejects_a_malformed_file(tmp_path, ingest, text, message):

@@ -16,6 +16,7 @@ from qdswitch import (
     kappa_from_q,
     simulate_switching,
 )
+from qdswitch import cli, fitting
 from qdswitch.cli import main
 from qdswitch.config import _KEYS, parse_config
 from qdswitch.constants import GHZ_PER_MEV
@@ -26,7 +27,7 @@ from qdswitch.csvio import (
     ingest_spectrum_csv,
     write_csv,
 )
-from qdswitch.fitting import stark_model
+from qdswitch.fitting import FitResult, stark_model
 from qdswitch.manifest import read_manifest
 
 TWO_PI = 2.0 * math.pi
@@ -680,10 +681,10 @@ def test_ingest_reports_bad_row_number(tmp_path):
     ("1.0,2.0\n3.0\n4.0,x\n", "bad.csv:3: expected 2 values"),
     ("1.0,2.0\n4.0,x\n3.0\n", "bad.csv:3: non-numeric value"),
     ("1.0,2.0,9.0\n3.0,4.0,9.0\n", "bad.csv:2: expected 2 values"),
-    # blank lines are not counted: the bad row is the third non-blank line
-    ("\n1.0,2.0\n\n4.0,x\n", "bad.csv:3: non-numeric value"),
-    ("1.0,2.0\n \t \n3.0\n", "bad.csv:3: expected 2 values"),
-    ("1.0,2.0\r\n\r\n4.0,x\r\n", "bad.csv:3: non-numeric value"),
+    # blank and whitespace-only lines are counted: each names the file's line
+    ("\n1.0,2.0\n\n4.0,x\n", "bad.csv:5: non-numeric value"),
+    ("1.0,2.0\n \t \n3.0\n", "bad.csv:4: expected 2 values"),
+    ("1.0,2.0\r\n\r\n4.0,x\r\n", "bad.csv:4: non-numeric value"),
     ("1.0,2.0\n3.0", "bad.csv:3: expected 2 values"),
 ])
 def test_ingest_names_first_malformed_row(tmp_path, body, message):
@@ -813,24 +814,6 @@ def test_cli_switch_ratio_on_a_slow_line_does_not_depend_on_cycles(tmp_path):
     assert float(ratios.pop()) == pytest.approx(1.0102980501651808, rel=1e-9)
 
 
-def test_cli_switch_on_a_line_too_slow_to_move_is_flat(tmp_path):
-    # tau overflows to inf: the line stays at v_low, so the intensity is constant.
-    assert _switch_ratio(tmp_path, "still", "rc_cutoff_mhz = 1e-310\n") == "1.0"
-
-
-def test_cli_switch_rejects_an_infinite_on_off_ratio(tmp_path, capsys):
-    cfg = tmp_path / "deep.cfg"
-    cfg.write_text("contrast_targets =\ngamma_ghz = 1e-160\namplitude = 1e300\n",
-                   encoding="utf-8")
-    out = tmp_path / "o"
-    code = run_cli("switch", "--preset", "paper", "--config", str(cfg), "--out", str(out))
-    assert code == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error_class"] == "DegenerateTraceError"
-    assert record["message"] == "on/off ratio must be finite, got inf"
-    assert not out.exists() or not list(out.iterdir())
-
-
 def test_cli_spectrum_and_metrics(tmp_path):
     out1 = tmp_path / "spec"
     assert run_cli("spectrum", "--preset", "paper", "--out", str(out1)) == 0
@@ -848,20 +831,6 @@ def test_cli_spectrum_and_metrics(tmp_path):
     assert rows["coupling_regime"] == "onset"
     assert float(rows["switching_energy_fJ"]) == pytest.approx(0.2855, rel=1e-3)
     assert float(rows["onset_voltage_V"]) == pytest.approx(3.19, abs=0.01)
-
-
-def test_cli_spectrum_on_a_far_grid_exits_0_with_finite_cells(tmp_path):
-    # Far out on the grid each PL term's square overflows; the term's limit
-    # there, 0.0, is the value written, so the run must not warn either
-    # (the suite turns a RuntimeWarning into an error).
-    cfg = tmp_path / "far.cfg"
-    cfg.write_text("detuning_stop_ghz = 1e307\n", encoding="utf-8")
-    out = tmp_path / "o"
-    assert run_cli("spectrum", "--preset", "paper", "--config", str(cfg),
-                   "--out", str(out)) == 0
-    cells = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
-    assert cells.shape == (601, 3)
-    assert np.isfinite(cells).all()
 
 
 def test_cli_array_outputs_match_per_value_formatting(tmp_path):
@@ -1026,117 +995,99 @@ def test_cli_rejects_negative_kappa(tmp_path, capsys, command):
     assert "kappa_ghz" in record["message"]
 
 
-@pytest.mark.parametrize("key", ["cavity_offset_ghz", "dot_offset_ghz"])
-def test_cli_metrics_rejects_a_non_finite_figure(tmp_path, capsys, key):
-    # Finite offsets whose half difference overflows when squared: the
-    # splitting comes out inf, which must not reach metrics.csv.
-    cfg = tmp_path / "far.cfg"
-    cfg.write_text(f"{key} = 1e300\n", encoding="utf-8")
-    out = tmp_path / "o"
-    code = run_cli("metrics", "--preset", "paper", "--config", str(cfg), "--out", str(out))
-    assert code == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error_class"] == "DomainError"
-    assert "vacuum_rabi_splitting_GHz" in record["message"]
-    assert not (out / "metrics.csv").exists()
-
-
-# These inputs make numpy warn on the way to the non-finite value; the
-# warning is expected stderr text here, the exit code and files are checked.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_stark_rejects_a_non_finite_column(tmp_path, capsys):
-    # A donor density whose product with the charge underflows to zero
-    # makes the depletion width infinite.
-    cfg = tmp_path / "thin.cfg"
-    cfg.write_text("nd_cm3 = 1e-300\n", encoding="utf-8")
-    out = tmp_path / "o"
-    code = run_cli("stark", "--preset", "paper", "--config", str(cfg), "--out", str(out))
-    assert code == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error_class"] == "DomainError"
-    assert "column x_d_um must be finite, got " in record["message"]
-    assert not (out / "stark.csv").exists()
-    assert not (out / "manifest.txt").exists()
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("override", ["dot_offset_ghz = 1e300", "q_factor = 1e300",
-                                      "nd_cm3 = 1e-300"])
-def test_cli_fit_contrast_rejects_a_non_finite_residual(tmp_path, capsys, override):
-    cfg = tmp_path / "far.cfg"
-    cfg.write_text(override + "\n", encoding="utf-8")
-    out = tmp_path / "o"
-    code = run_cli("fit", "--kind", "contrast", "--preset", "paper", "--config", str(cfg),
-                   "--out", str(out))
-    assert code == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error_class"] == "DomainError"
-    assert "parameter residual_norm must be finite, got " in record["message"]
-    assert not (out / "fit_report.csv").exists()
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("override", ["dot_offset_ghz = 1e300", "q_factor = 1e300",
-                                      "nd_cm3 = 1e-300"])
-def test_cli_switch_rejects_a_non_finite_calibration_residual(tmp_path, capsys, override):
-    # The residual is NaN from the start point on: the device values are at
-    # fault, so the refusal must not blame contrast_targets.
-    cfg = tmp_path / "far.cfg"
-    cfg.write_text(override + "\n", encoding="utf-8")
-    out = tmp_path / "o"
-    code = run_cli("switch", "--preset", "paper", "--config", str(cfg), "--out", str(out))
-    assert code == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error_class"] == "DomainError"
-    assert "calibration residual_norm must be finite, got " in record["message"]
-    assert not list(out.glob("*.csv"))
-
-
-# Sizes beyond the 47-bit address space: numpy refuses the allocation up
-# front, even with memory overcommit, so no real memory is touched.
-@pytest.mark.parametrize("command, overrides", [
-    ("metrics", "detuning_points = 140737488355328"),
-    ("stark", "detuning_points = 140737488355328"),
-    ("switch", "cycles = 16777216\nsamples_per_cycle = 8388608"),
+# Values far past their key's range, with which a run used to reach a refusal
+# (or, for a line too slow to move and a far PL grid, ran): each now exits 1 at
+# load naming its key, with the one JSON record as all of stderr.  The refusals
+# they reached keep their own tests, through a library call or a patched result.
+@pytest.mark.parametrize("command, overrides, key", [
+    ("switch", "rc_cutoff_mhz = 1e-310", "rc_cutoff_mhz"),
+    ("switch", "contrast_targets =\ngamma_ghz = 1e-160\namplitude = 1e300", "gamma_ghz"),
+    ("spectrum", "detuning_stop_ghz = 1e307", "detuning_stop_ghz"),
+    ("metrics", "cavity_offset_ghz = 1e300", "cavity_offset_ghz"),
+    ("metrics", "dot_offset_ghz = 1e300", "dot_offset_ghz"),
+    *((command, f"{key} = {text}", key) for command in ("fit --kind contrast", "switch")
+      for key, text in [("dot_offset_ghz", "1e300"), ("q_factor", "1e300"),
+                        ("nd_cm3", "1e-300")]),
+    ("metrics", "detuning_points = 140737488355328", "detuning_points"),
+    ("stark", "detuning_points = 140737488355328", "detuning_points"),
+    ("switch", "cycles = 16777216\nsamples_per_cycle = 8388608", "cycles"),
 ])
-def test_cli_unallocatable_size_is_a_numeric_error(tmp_path, capsys, command, overrides):
-    cfg = tmp_path / "huge.cfg"
+def test_cli_value_past_its_range_exits_1_naming_its_key(tmp_path, capsys, command,
+                                                         overrides, key):
+    cfg = tmp_path / "far.cfg"
     cfg.write_text(overrides + "\n", encoding="utf-8")
-    code = run_cli(command, "--preset", "paper", "--config", str(cfg),
-                   "--out", str(tmp_path / "o"))
-    assert code == 2
+    out = tmp_path / "o"
+    code = run_cli(*command.split(), "--preset", "paper", "--config", str(cfg),
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error_class"] == "ConfigError"
+    assert record["message"].endswith(f"(config key {key})")
+    assert not out.exists()
+
+
+def _failed_run(capsys, command, out):
+    """The JSON error record of a paper-preset run of command that exits 2 and
+    writes nothing."""
+    assert run_cli(*command.split(), "--preset", "paper", "--out", str(out)) == 2
     record = json.loads(capsys.readouterr().err.strip())
-    assert record["error_code"] == 2
-    assert "Unable to allocate" in record["message"]
+    assert record["error_class"] == "DomainError"
+    assert not out.exists()
+    return record["message"]
 
 
-# The stark grid's point count, (v_stop - v_start) / v_step + 1, is bounded at
-# load: one that is not finite, or whose float64 grid would exceed sys.maxsize
-# bytes, names v_step.  2**47 and 2**59 points pass that bound and are refused
-# by numpy up front, past the 47-bit address space.
+def test_cli_metrics_rejects_a_non_finite_figure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "vacuum_rabi_splitting", lambda params: math.inf)
+    message = _failed_run(capsys, "metrics", tmp_path / "o")
+    assert message == "metric vacuum_rabi_splitting_GHz must be finite, got inf"
+
+
+def test_cli_stark_rejects_a_non_finite_column(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "depletion_width", lambda params, volts: np.full(volts.shape, np.inf))
+    message = _failed_run(capsys, "stark", tmp_path / "o")
+    assert message == "column x_d_um must be finite, got inf"
+
+
+def _nan_contrast_fit(targets, *args, **kwargs):
+    return FitResult({"dot_decay": 1.0, "screening": 0.5}, {}, math.nan, False, 1)
+
+
+def test_cli_fit_contrast_rejects_a_non_finite_residual(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fitting, "fit_contrast", _nan_contrast_fit)
+    message = _failed_run(capsys, "fit --kind contrast", tmp_path / "o")
+    assert message == "parameter residual_norm must be finite, got nan"
+
+
+def test_cli_switch_rejects_a_non_finite_calibration_residual(tmp_path, capsys, monkeypatch):
+    # The device values are at fault, so the refusal must not blame contrast_targets.
+    monkeypatch.setattr(fitting, "fit_contrast", _nan_contrast_fit)
+    message = _failed_run(capsys, "switch", tmp_path / "o")
+    assert message == "calibration residual_norm must be finite, got nan"
+
+
+# The stark grid's point count, (v_stop - v_start) / v_step + 1, is capped at
+# load; each of the three keys is first held to its own range.
 @pytest.mark.parametrize("command", ["metrics", "stark"])
-@pytest.mark.parametrize("overrides, code", [
-    ("v_step = 1e-310", 1),
-    ("v_stop = 1e200", 1),
-    ("v_stop = 1e308", 1),
-    ("v_step = 1\nv_stop = 1152921504606846976", 1),
-    ("v_step = 1\nv_stop = 576460752303423488", 2),
-    ("v_step = 7.105427357601002e-14\nv_stop = 10", 2),
-], ids=["infinite count", "finite count past the bound", "v_stop at 1e308",
-        "2**60 + 1 points", "2**59 + 1 points", "2**47 points"])
-def test_cli_voltage_grid_size_is_bounded_at_load(tmp_path, capsys, command, overrides, code):
+@pytest.mark.parametrize("overrides, key, rule", [
+    ("v_step = 1e-310", "v_step", "must be in [1e-06, 100000]"),
+    ("v_stop = 1e200", "v_stop", "must be in [0, 100000]"),
+    ("v_step = 1\nv_stop = 1152921504606846976", "v_stop", "must be in [0, 100000]"),
+    ("v_step = 7.105427357601002e-14\nv_stop = 10", "v_step", "must be in [1e-06, 100000]"),
+    ("v_step = 1e-5", "v_step", "must give at most 1000000 grid points from v_start to "
+                                "v_stop, got 1000001"),
+], ids=["tiny step", "far stop", "2**60 + 1 points", "2**47 points", "one point past the cap"])
+def test_cli_voltage_grid_size_is_bounded_at_load(tmp_path, capsys, command, overrides, key,
+                                                  rule):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(overrides + "\n", encoding="utf-8")
     out = tmp_path / "o"
-    assert run_cli(command, "--preset", "paper", "--config", str(cfg), "--out", str(out)) == code
+    assert run_cli(command, "--preset", "paper", "--config", str(cfg), "--out", str(out)) == 1
     record = json.loads(capsys.readouterr().err.strip())
-    if code == 1:
-        assert record["error_class"] == "ConfigError"
-        assert record["message"].startswith("v_step must give at most ")
-        assert record["message"].endswith("(config key v_step)")
-    else:
-        assert record["error_class"] == "MemoryError"
-        assert "Unable to allocate" in record["message"]
+    assert record["error_class"] == "ConfigError"
+    assert f"{key} {rule}" in record["message"]
+    assert record["message"].endswith(f"(config key {key})")
     assert not out.exists()
 
 
@@ -1171,7 +1122,7 @@ def test_cli_preset_names_only_a_built_in_file(tmp_path, capsys, name):
     ("0, 7, 9", "20, 10", "g_anchor_ghz"),
     ("7", "20", "g_anchor_ghz"),
     ("0, 5", "20, 1e308", "g_anchor_ghz"),
-    ("0, 5", "20, 1e200", "g_anchor_ghz"),  # interpolated g ** 2 would overflow
+    ("0, 5", "20, 1000001", "g_anchor_ghz"),  # just past the coupling range
 ])
 def test_cli_rejects_bad_coupling_anchors_at_any_bias(tmp_path, capsys, volts, couplings,
                                                       key, bias):
@@ -1327,7 +1278,7 @@ def test_cli_switch_and_contrast_fit_follow_the_coupling_table(tmp_path):
     ("g_anchor_v = 5, 3\n",
      "g_anchor_v must be strictly increasing, got 3.0 (config key g_anchor_v)"),
     ("g_anchor_v = 0, 7\ng_anchor_ghz = 20, -1\n",
-     "g_anchor_ghz must be in [0, 2.13392e+153], got -1.0 (config key g_anchor_ghz)"),
+     "g_anchor_ghz must be in [0, 1e+06], got -1.0 (config key g_anchor_ghz)"),
     ("g_anchor_v = 0, 7, 9\ng_anchor_ghz = 20, 10\n",
      "g_anchor_ghz must give one coupling per g_anchor_v voltage, got 2 for 3 "
      "(config key g_anchor_ghz)"),
@@ -1335,7 +1286,7 @@ def test_cli_switch_and_contrast_fit_follow_the_coupling_table(tmp_path):
      "contrast_targets voltages must be 1-D with >= 2 values, got shape (1,) "
      "(config key contrast_targets)"),
     ("contrast_targets = 10:1.5, 14:0.5\n",
-     "contrast_targets ratios must be >= 1, got 0.5 (config key contrast_targets)"),
+     "contrast_targets ratios must be in [1, 1e+06], got 0.5 (config key contrast_targets)"),
 ], ids=["anchor-order", "anchor-range", "anchor-count", "one-target", "target-ratio"])
 def test_config_list_key_names_its_first_bad_value(tmp_path, text, message):
     cfg = tmp_path / "lists.cfg"
