@@ -22,8 +22,8 @@ import numpy as np
 
 from .constants import TWO_PI
 from .cqed import CqedParams, OpticalFrame, kappa_from_q
-from .electrostatics import (BIAS_RANGE_V, DEFAULT_FIELD_SIGN, DriveSpec, ElectrostaticParams,
-                             EnergyBudget, StarkCoefficients)
+from .electrostatics import (BIAS_RANGE_V, DEFAULT_FIELD_SIGN, POINTS_MAX, SCREENING_RANGE,
+                             DriveSpec, ElectrostaticParams, EnergyBudget, StarkCoefficients)
 from .errors import ConfigError, DomainError, check_array, check_value, read_text
 
 
@@ -68,11 +68,11 @@ def _parse_targets(text: str) -> tuple[tuple[float, float], ...]:
 # 3.2e5 GHz); the CqedParams fields keep the wider domains fit trial points need.
 _DETUNING_GHZ, _RATE_GHZ = ("[]", (-1e6, 1e6)), (1e-6, 1e6)
 _COUPLING_GHZ, _BIAS_V = ("[]", (0.0, 1e6)), ("[]", BIAS_RANGE_V)
-_GRID_POINTS_MAX = 10 ** 6  # of each sweep grid
 
 # type -> {field: key, or (key, default[, (kind, bound)]) where the field has no
 # default, a run needs another (it always has a Q), or the key has a range of its
-# own}; the default's type, int or float, picks the parser.
+# own (a default of None keeps the field's)}; the default's type, int or float,
+# picks the parser.
 _FIELDS: dict[type, dict[str, str | tuple]] = {
     ElectrostaticParams: {
         "donor_density_cm3": ("nd_cm3", 9e15), "barrier_potential_v": ("phi_v", 0.36),
@@ -86,8 +86,8 @@ _FIELDS: dict[type, dict[str, str | tuple]] = {
                  "dot_freq": ("dot_offset_ghz", 0.0, _DETUNING_GHZ),
                  "coupling": ("g_ghz", 20.0, _COUPLING_GHZ),
                  "dot_decay": ("gamma_ghz", 0.1, ("[]", _RATE_GHZ)),
-                 "amplitude": ("amplitude", 1.0, ("[]", (1e-30, 1e30))),
-                 "background": ("background", 0.0, ("[]", (0.0, 1e30)))},
+                 "amplitude": ("amplitude", None, ("[]", (1e-30, 1e30))),
+                 "background": ("background", None, ("[]", (0.0, 1e30)))},
     DriveSpec: {"v_low": ("v_low_v", 0.0), "v_high": ("v_high_v", 10.0), "duty": "duty",
                 "frequency_mhz": ("drive_mhz", 150.0), "rc_cutoff_mhz": "rc_cutoff_mhz",
                 "cycles": "cycles", "samples_per_cycle": "samples_per_cycle"},
@@ -99,8 +99,9 @@ _FIELDS: dict[type, dict[str, str | tuple]] = {
 def _entries(cls) -> list[tuple]:
     """(field, key, default[, (kind, bound)]) for each _FIELDS entry of cls."""
     defaults = {f.name: f.default for f in fields(cls)}
-    return [(name, *((entry, defaults[name]) if isinstance(entry, str) else entry))
-            for name, entry in _FIELDS[cls].items()]
+    entries = {name: (e, None) if isinstance(e, str) else e for name, e in _FIELDS[cls].items()}
+    return [(name, key, defaults[name] if default is None else default, *checks)
+            for name, (key, default, *checks) in entries.items()]
 
 
 # key -> (parser, default[, (kind, bound) checked as the key's line is read]): the
@@ -111,7 +112,7 @@ _KEYS: dict[str, tuple] = {
     "field_sign": (_parse_float, DEFAULT_FIELD_SIGN),
     # Stark response
     "fit_field_limit_v_per_um": (_parse_float, 5.0, ("[]", (1e-3, 1e4))),
-    "screening": (_parse_float, 1.0, ("[]", (0.0, 1.0))),
+    "screening": (_parse_float, 1.0, ("[]", SCREENING_RANGE)),
     # coupled system and its optional coupling-versus-bias anchors (ordinary GHz)
     "kappa_ghz": (_parse_float, 0.0),  # 0 means derive from Q; else in _RATE_GHZ
     "g_anchor_v": (_parse_float_list, ()), "g_anchor_ghz": (_parse_float_list, ()),
@@ -123,7 +124,7 @@ _KEYS: dict[str, tuple] = {
     "v_step": (_parse_float, 0.1, ("[]", (1e-6, 1e5))),
     "detuning_start_ghz": (_parse_float, -150.0, _DETUNING_GHZ),
     "detuning_stop_ghz": (_parse_float, 150.0, _DETUNING_GHZ),
-    "detuning_points": (_parse_int, 601, ("int[]", (2, _GRID_POINTS_MAX))),
+    "detuning_points": (_parse_int, 601, ("int[]", (2, POINTS_MAX))),
     "bias_v": (_parse_float, 0.0, _BIAS_V),
     "fit_free": (str, "coupling,cavity_decay,dot_decay,amplitude"),
     "seed": (_parse_int, 0),  # recorded in the manifest only
@@ -168,8 +169,7 @@ class RunConfig:
         return TWO_PI * check_value("kappa_ghz", kappa, "[]", _RATE_GHZ, field="kappa_ghz")
 
     def cqed_params(self) -> CqedParams:
-        key = "q_factor" if self["kappa_ghz"] == 0.0 else "kappa_ghz"
-        return self._build(CqedParams, cavity_decay=(key, self.cavity_decay()))
+        return self._build(CqedParams, cavity_decay=("kappa_ghz", self.cavity_decay()))
 
     def drive_spec(self) -> DriveSpec:
         return self._build(DriveSpec)
@@ -195,8 +195,8 @@ class RunConfig:
         if stop < start:
             raise DomainError(f"v_stop must be >= v_start, got {stop}", field="v_stop")
         points = math.floor((stop - start) / step + 1e-9) + 1
-        if points > _GRID_POINTS_MAX:
-            raise DomainError(f"v_step must give at most {_GRID_POINTS_MAX} grid points "
+        if points > POINTS_MAX:
+            raise DomainError(f"v_step must give at most {POINTS_MAX} grid points "
                               f"from v_start to v_stop, got {points}", field="v_step")
         return start + step * np.arange(points)
 

@@ -32,6 +32,8 @@ from .errors import DomainError, check_array, check_domains, check_value, domain
 
 BIAS_RANGE_V = (0.0, 1e5)  # every reverse bias: rails, sweeps, anchors, targets
 PERMITTIVITY_RANGE = (1.0, 1e5)  # relative, of the host
+SCREENING_RANGE = (0.0, 1.0)
+POINTS_MAX = 10 ** 6  # of any sweep grid or drive trace, for run time and memory
 
 # Sign convention for the field seen by the dot: negative toward the
 # electrode.  With the fitted coefficients below this reproduces the
@@ -85,13 +87,16 @@ class DriveSpec:
     frequency_mhz: float = domain("[]", (1e-3, 1e6), label="drive_frequency")
     duty: float = domain("()", (0.0, 1.0), default=0.5)
     rc_cutoff_mhz: float = domain("[]", (1e-3, 1e6), label="rc_cutoff", default=100.0)
-    cycles: int = domain("int[]", (3, 10 ** 6), default=9)
-    samples_per_cycle: int = domain("int[]", (64, 10 ** 6), default=256)
+    cycles: int = domain("int[]", (3, POINTS_MAX), default=9)
+    samples_per_cycle: int = domain("int[]", (64, POINTS_MAX), default=256)
 
     def __post_init__(self) -> None:
         check_domains(self)
         if not self.v_high >= self.v_low:
             raise DomainError("v_high must be >= v_low", field="v_high")
+        if self.cycles * self.samples_per_cycle > POINTS_MAX:
+            raise DomainError(f"cycles must give at most {POINTS_MAX} trace samples, got "
+                              f"{self.cycles} x {self.samples_per_cycle}", field="cycles")
 
     @property
     def period_ns(self) -> float:
@@ -182,7 +187,7 @@ def stark_shift(coeffs: StarkCoefficients, field):
 
 def apply_screening(shift_mev, screening: float):
     """Scale a shift by the free-carrier screening factor in [0, 1]."""
-    return check_value("screening", screening, "[]", (0.0, 1.0)) * shift_mev
+    return check_value("screening", screening, "[]", SCREENING_RANGE) * shift_mev
 
 
 def voltage_to_detuning(

@@ -39,8 +39,15 @@ GRADIENT_TOL = 1e-8
 
 # CqedParams fields that must stay positive; fitted on a log scale.
 _LOG_SCALE_PARAMS = frozenset({"coupling", "cavity_decay", "dot_decay", "amplitude"})
-_CQED_UNITS = {name: "dimensionless" if name in ("amplitude", "background") else "angular GHz"
-               for name in _CQED_FIELDS}
+_CQED_UNITS = {
+    "cavity_freq": "angular GHz",
+    "dot_freq": "angular GHz",
+    "coupling": "angular GHz",
+    "cavity_decay": "angular GHz",
+    "dot_decay": "angular GHz",
+    "amplitude": "dimensionless",
+    "background": "dimensionless",
+}
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def simulate_switching(
     # does not cancel, clamped to the rails, which underflow can round it past.
     spc, high = int(drive.samples_per_cycle), drive.high_samples
     skip = math.ceil(drive.cycles / 3)
-    times = _sample_times(drive, skip * spc)  # first, so a size too large fails at once
+    times = _sample_times(drive, skip * spc)
     steps = np.array([high, spc - high, spc]) * (drive.period_ns / spc) / drive.tau_ns
     rise_h, rise_l, rise = -np.expm1(-steps)
     start = (drive.v_low * rise_l + drive.v_high * rise_h * math.exp(-steps[1])) / rise

@@ -228,7 +228,8 @@ _BAD = {
                 "frequency_mhz": [0.0, math.nan, 1e-310, 2e6],
                 "duty": [0.0, 1.0, math.nan],
                 "rc_cutoff_mhz": [0.0, math.inf, 1e-310, 1e308],
-                "cycles": [2, 3.5, 10 ** 6 + 1, 10 ** 308],
+                # 3907 x 256 samples is the first trace past the 10**6-sample cap.
+                "cycles": [2, 3.5, 10 ** 6 + 1, 10 ** 308, 3907],
                 "samples_per_cycle": [63, 64.5, 10 ** 6 + 1]},
     # The mode offsets are unconstrained.
     CqedParams: {"coupling": [-1.0, math.nextafter(COUPLING_MAX, math.inf)],
@@ -254,6 +255,14 @@ def test_bad_value_table_covers_every_checked_field():
     for cls, table in _BAD.items():
         unchecked = {"cavity_freq", "dot_freq"} if cls is CqedParams else set()
         assert set(table) | unchecked == {f.name for f in fields(cls)}
+
+
+def test_extreme_accepted_values_keep_derived_quantities_finite():
+    # CqedParams keeps the wide domain every fit trial point is built through;
+    # its largest coupling still squares to a finite float.
+    cqed = CqedParams(**{**_VALID[CqedParams], "coupling": COUPLING_MAX})
+    assert math.isfinite(cqed.coupling ** 2)
+    assert DriveSpec(**{**_VALID[DriveSpec], "cycles": 3906}).cycles == 3906
 
 
 # Finite values far past their range, among them angular forms (x 2 pi) that
@@ -295,11 +304,6 @@ def test_cli_switch_overflowing_drive_time_exits_1_naming_its_key(tmp_path, caps
 
 # -- every range end runs ---------------------------------------------------------
 
-# Upper ends whose switch trace a unit test cannot hold: 10**6 cycles of the
-# preset's 256 samples (1.7e8 samples, 1.4 GB of times alone), and 10**6
-# samples per cycle (a 212 MB trace file).  The other commands only build
-# their DriveSpec.
-TOO_LARGE = {("cycles", "switch"), ("samples_per_cycle", "switch")}
 # A coupling table at both ends of its voltage and coupling ranges.
 ANCHOR_ENDS = "g_anchor_v = 0, 100000\ng_anchor_ghz = 1000000, 0\n"
 
@@ -308,8 +312,6 @@ def _range_end_cases():
     for key in sorted(RANGES):
         for end, value in zip(("low", "high"), _ends(key)):
             for command in ("stark", "spectrum", "metrics", "switch"):
-                if end == "high" and (key, command) in TOO_LARGE:
-                    continue
                 yield pytest.param(command, f"{key} = {value!r}\n",
                                    id=f"{key}-{end}-{command}")
     for command in ("spectrum", "switch"):

@@ -1011,6 +1011,8 @@ def test_cli_rejects_negative_kappa(tmp_path, capsys, command):
     ("metrics", "detuning_points = 140737488355328", "detuning_points"),
     ("stark", "detuning_points = 140737488355328", "detuning_points"),
     ("switch", "cycles = 16777216\nsamples_per_cycle = 8388608", "cycles"),
+    # Each in its range, but a trace past the 10**6-sample cap.
+    ("switch", "samples_per_cycle = 1000000", "cycles"),
 ])
 def test_cli_value_past_its_range_exits_1_naming_its_key(tmp_path, capsys, command,
                                                          overrides, key):
