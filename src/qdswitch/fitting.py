@@ -292,9 +292,10 @@ def fit_spectrum(
     """Fit the reflectivity model to a measured spectrum.
 
     free names a subset of the CqedParams fields; the rest stay at their
-    initial values.  Non-convergence is reported through the result
-    flag, but a trial step whose rate overflows math.exp (OverflowError)
-    or underflows to zero (DomainError) still raises.
+    initial values.  The spectrum needs at least one point per free
+    parameter, or the fit is degenerate.  Non-convergence is reported
+    through the result flag, but a trial step whose rate overflows
+    math.exp (OverflowError) or underflows to zero (DomainError) still raises.
     """
     names = list(dict.fromkeys(free))
     unknown = [n for n in names if n not in _CQED_FIELDS]
@@ -303,8 +304,11 @@ def fit_spectrum(
     if not names:
         raise DomainError("free parameter set must not be empty")
 
-    x, *solution = _levenberg_marquardt(
-        _spectrum_problem(spectrum, initial, names), _pack(initial, names))
+    x0 = _pack(initial, names)
+    if len(spectrum) < len(names):
+        raise DegenerateFitError(f"need >= {len(names)} points for {len(names)} free "
+                                 f"parameters, found {len(spectrum)}")
+    x, *solution = _levenberg_marquardt(_spectrum_problem(spectrum, initial, names), x0)
     fitted = _unpack(initial, names, x)
     return _fit_result({name: float(getattr(fitted, name)) for name in _CQED_FIELDS},
                        dict(_CQED_UNITS), dict(zip(names, _log_scales(fitted, names))),

@@ -168,8 +168,31 @@ def test_config_out_of_range_numbers_name_their_key(tmp_path_factory, case):
     _assert_names_key(tmp_path_factory.mktemp("cfg"), key, repr(value))
 
 
+# (key, value) outside the key's physical range, below it or far past it (the
+# largest would overflow a product downstream), through metrics: a library
+# type's field, a CqedParams key's own range, a key no library type checks,
+# and each other path of the key-to-field table (OpticalFrame, an integer
+# key, a x 2 pi CqedParams key).
+BAD_KEYS = [
+    ("nd_cm3", "-1"), ("g_ghz", "1e308"), ("bias_v", "-1"), ("probe_detuning_ghz", "1e308"),
+    ("rc_cutoff_mhz", "1e308"), ("drive_mhz", "1e-310"), ("g_ghz", "1e200"),
+    ("g_anchor_ghz", "20, 1e200"), ("lambda0_nm", "0"), ("cycles", "2"), ("gamma_ghz", "0"),
+    ("v_step", "1e-310"), ("detuning_stop_ghz", "1e308"),
+]
+
+# (command, key, value) far past a physical range: each used to fail later in
+# that command, on a non-finite product, or blame another key.
+FAR_CONFIGS = [
+    ("switch", "probe_detuning_ghz", "1e307"),
+    ("switch", "g_ghz", "1e150"),
+    ("switch", "kappa_ghz", "1e-300"),
+    ("switch", "phi_v", "1e300"),
+    ("switch", "dipole_mev_um_per_v", "1e300"),
+    ("stark", "nd_cm3", "1e-300"),
+]
+
+
 @pytest.mark.parametrize("command, key, text", [
-    ("metrics", "nd_cm3", "-1"),
     ("stark", "v_step", "0"),
     ("spectrum", "detuning_points", "1"),
     ("spectrum", "g_anchor_v", "5, 3"),
@@ -179,15 +202,7 @@ def test_config_out_of_range_numbers_name_their_key(tmp_path_factory, case):
     ("fit --kind contrast", "screening", "1.5"),
     ("fit --kind spectrum --data spectrum.csv", "fit_free", "bogus"),
     ("fit --kind spectrum --data spectrum.csv", "fit_free", ","),
-    # Far past a physical range: each of these used to fail later, on a
-    # non-finite product, or blame another key.
-    ("switch", "probe_detuning_ghz", "1e307"),
-    ("switch", "g_ghz", "1e150"),
-    ("switch", "kappa_ghz", "1e-300"),
-    ("switch", "phi_v", "1e300"),
-    ("switch", "dipole_mev_um_per_v", "1e300"),
-    ("stark", "nd_cm3", "1e-300"),
-])
+] + [("metrics", key, text) for key, text in BAD_KEYS] + FAR_CONFIGS)
 def test_cli_config_rejection_exits_1_naming_its_key(tmp_path, capsys, command, key, text):
     out = tmp_path / "o"
     out.mkdir()

@@ -18,6 +18,7 @@ from qdswitch import (
     CqedParams,
     DegenerateFitError,
     DomainError,
+    ElectrostaticParams,
     IngestError,
     ShiftDataset,
     Spectrum,
@@ -100,6 +101,10 @@ CLI_FAILURES = {
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv", "--config", "{tmp}/c.cfg"],
         {"d.csv": SPECTRUM_TEXT, "c.cfg": "g_ghz = 0\n"},
         2, "DomainError", "coupling must be > 0, got 0.0"),
+    # Three points cannot fix the preset's four free parameters.
+    "spectrum fit with fewer points than free parameters": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"], {"d.csv": SPECTRUM_TEXT},
+        2, "DegenerateFitError", "need >= 4 points for 4 free parameters, found 3"),
 }
 
 
@@ -198,20 +203,34 @@ def test_cli_empty_path_names_the_value_as_given(tmp_path, capsys, case):
     assert json.loads(capsys.readouterr().err)["message"] == message + "''"
 
 
+# An --out that cannot be made a directory exits 3: an empty one, instead of
+# writing into the working directory, one that names a file, and one through
+# a file.  case -> (--out value, relative to a directory holding only
+# FILE_IN_CWD; error class)
+FILE_IN_CWD = ("data.csv", b"x\n1\n")
+BAD_OUTS = {
+    "empty": ("", "FileNotFoundError"),
+    "a file": ("data.csv", "FileExistsError"),
+    "through a file": ("data.csv/o", "NotADirectoryError"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OUTS)
 @pytest.mark.parametrize("command", [["metrics", "--preset", "paper"],
                                      ["switch", "--preset", "paper"]], ids=["metrics", "switch"])
-def test_cli_empty_out_is_no_directory(tmp_path, capsys, monkeypatch, command):
-    # An empty --out fails as any --out that cannot be made a directory does,
-    # instead of writing into the working directory.
+def test_cli_out_that_is_no_directory_exits_3(tmp_path, capsys, monkeypatch, command, case):
+    out, error_class = BAD_OUTS[case]
+    name, data = FILE_IN_CWD
+    (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
-    assert main(command + ["--out", ""]) == 3
+    assert main(command + ["--out", out]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     record = json.loads(captured.err)
-    assert (record["error_code"], record["error_class"]) == (3, "FileNotFoundError")
-    assert record["message"].endswith(": ''")
-    assert list(tmp_path.iterdir()) == []
+    assert (record["error_code"], record["error_class"]) == (3, error_class)
+    assert record["message"].endswith(f": {out!r}")
+    assert _left_in(tmp_path) == {name: data}
 
 
 # switch and the contrast fit read g(V) from the table at every bias, so a
@@ -362,6 +381,13 @@ LIBRARY_FAILURES = {
     "no free parameters": (
         lambda: fit_spectrum(Spectrum(GRID, np.ones(3)), CQED, []),
         "^free parameter set must not be empty$"),
+    "fewer spectrum points than free parameters": (
+        lambda: fit_spectrum(Spectrum(GRID[:1], np.ones(1)), CQED, ["coupling", "dot_decay"]),
+        "^need >= 2 points for 2 free parameters, found 1$"),
+    "two Stark points above the onset": (
+        lambda: fit_stark_curve(ShiftDataset(np.array([0.0, 8.0, 10.0]), np.zeros(3)),
+                                ElectrostaticParams(9e15, 0.36, 12.9, 0.75)),
+        "^need >= 3 points above the depletion onset, found 2$"),
     "decreasing times": (
         lambda: TimeTrace(np.array([0.0, 2.0, 1.0]), np.ones(3)),
         "^times must be strictly increasing, got 1.0$"),

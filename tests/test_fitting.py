@@ -343,3 +343,77 @@ def test_covariance_diag_is_none_unless_every_variance_is_finite_and_positive(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _covariance_diag(jtj, residual_norm, 10) is None
+
+
+# Calibration: over N seeded fits, the share of estimates within k reported
+# standard deviations of the truth is binomial around the share the fit's
+# error distribution puts below k.  The bounds are that share +- 3 binomial
+# standard deviations, fixed by N alone: at N = 200 a normal error gives
+# [0.58, 0.78] at k = 1 and [0.91, 1] at k = 2.  A variance scaled by dp/dx
+# in place of (dp/dx)^2, or without the residual_norm^2 / dof scale, leaves them.
+CALIBRATION_FITS = 200
+
+
+def _assert_calibrated(errors, share_below):
+    """errors maps each free parameter to its N values of |estimate - truth| /
+    sqrt(variance); share_below(k) is the expected share of them below k."""
+    for k in (1.0, 2.0):
+        share = share_below(k)
+        spread = 3.0 * math.sqrt(share * (1.0 - share) / CALIBRATION_FITS)
+        for name, z in errors.items():
+            assert len(z) == CALIBRATION_FITS
+            assert share - spread <= np.mean(np.array(z) < k) <= share + spread, (name, k)
+
+
+def test_spectrum_fit_variances_cover_the_scatter_of_the_estimates(device_elec, device_stark,
+                                                                   device_cqed):
+    # The benchmark's 481-point spectra: the dot Stark-shifted by a seeded
+    # bias, a seeded device spread and additive noise.  Each fit starts at the
+    # truth, as coverage is a property of the optimum, not of the way there.
+    # 477 residual degrees of freedom: the standardized error is normal.
+    from qdswitch import voltage_to_detuning
+
+    rng = np.random.default_rng(1)
+    free = ("coupling", "cavity_decay", "dot_decay", "amplitude")
+    grid = TWO_PI * np.linspace(-150.0, 150.0, 481)
+    errors = {name: [] for name in free}
+    for _ in range(CALIBRATION_FITS):
+        c = device_cqed
+        truth = replace(c, dot_freq=voltage_to_detuning(device_elec, device_stark,
+                                                        rng.uniform(4.5, 8.5)),
+                        coupling=c.coupling * rng.uniform(0.8, 1.2),
+                        cavity_decay=c.cavity_decay * rng.uniform(0.8, 1.2),
+                        dot_decay=c.dot_decay * math.exp(rng.uniform(-0.7, 0.7)),
+                        amplitude=c.amplitude * rng.uniform(0.8, 1.2), background=0.05)
+        clean = reflectivity_spectrum(truth, grid).intensities
+        data = Spectrum(grid, np.maximum(clean + rng.normal(0.0, 0.005, grid.size), 0.0))
+        result = fit_spectrum(data, truth, free)
+        assert result.converged
+        for name in free:
+            errors[name].append(abs(result.parameters[name] - getattr(truth, name))
+                                / math.sqrt(result.covariance_diag[name]))
+    _assert_calibrated(errors, lambda k: math.erf(k / math.sqrt(2.0)))
+
+
+def test_contrast_fit_variances_cover_the_scatter_of_the_estimates(device_elec, device_stark,
+                                                                   device_cqed):
+    # The benchmark's contrast truths, with a third target and additive noise
+    # on every ratio.  One residual degree of freedom: the standardized error
+    # is Student's t with one, whose share below k is 2 atan(k) / pi.
+    from qdswitch import dc_contrast
+
+    rng = np.random.default_rng(1)
+    errors = {"dot_decay": [], "screening": []}
+    for _ in range(CALIBRATION_FITS):
+        truth = {"dot_decay": TWO_PI * 17.0 * math.exp(rng.uniform(-0.5, 0.5)),
+                 "screening": rng.uniform(0.05, 0.5)}
+        device = replace(device_cqed, dot_decay=truth["dot_decay"])
+        targets = [(v, dc_contrast(device_elec, device_stark, device, v,
+                                   screening=truth["screening"]) + rng.normal(0.0, 0.002))
+                   for v in (6.0, 10.0, 14.0)]
+        result = fit_contrast(targets, device_elec, device_stark, device_cqed)
+        assert result.converged
+        for name, value in truth.items():
+            errors[name].append(abs(result.parameters[name] - value)
+                                / math.sqrt(result.covariance_diag[name]))
+    _assert_calibrated(errors, lambda k: 2.0 * math.atan(k) / math.pi)

@@ -1103,7 +1103,11 @@ def test_cli_unknown_preset_is_a_config_error(tmp_path, capsys):
 
 # A preset is a file directly in presets/, named without its .cfg: a path
 # to a config file elsewhere, or to the paper preset through "..", is no preset.
-@pytest.mark.parametrize("name", ["{tmp}/mine", "../presets/paper", "sub/name"],
+# {tmp} is the work directory, which holds a valid mine.cfg.
+NOT_PRESETS = ["{tmp}/mine", "../presets/paper", "sub/name"]
+
+
+@pytest.mark.parametrize("name", NOT_PRESETS,
                          ids=["absolute path", "dot-dot path", "sub/name path"])
 def test_cli_preset_names_only_a_built_in_file(tmp_path, capsys, name):
     (tmp_path / "mine.cfg").write_text("bias_v = 1\n", encoding="utf-8")
@@ -1141,6 +1145,11 @@ def test_cli_rejects_bad_coupling_anchors_at_any_bias(tmp_path, capsys, volts, c
     assert not (out / "spectrum.csv").exists()
 
 
+FLAT_TABLE = "g_anchor_v = 0, 14\ng_anchor_ghz = 20, 20\n"   # g at g_ghz at every bias
+MET_TABLE = "g_anchor_v = 0, 14\ng_anchor_ghz = 20, 18\n"    # the paper targets still met
+SLOPE_TABLE = "g_anchor_v = 0, 14\ng_anchor_ghz = 5, 2\n"    # g(0 V) is 5 GHz, not g_ghz
+
+
 def _model_spectrum(path, cfg, bias):
     """spectrum.csv as the library writes it with the device placed at bias:
     the dot at dot_freq + voltage_to_detuning(bias) and, with a table, the
@@ -1165,7 +1174,7 @@ def _model_spectrum(path, cfg, bias):
 # table g(0) is 5 GHz, not g_ghz; with the electrode this close the built-in
 # potential depletes past the dot, so the onset is 0 V and the Stark shift
 # at 0 V is not zero.
-@pytest.mark.parametrize("text", ["g_anchor_v = 0, 14\ng_anchor_ghz = 5, 2\n", "dx_um = 0.2\n"],
+@pytest.mark.parametrize("text", [SLOPE_TABLE, "dx_um = 0.2\n"],
                          ids=["coupling table", "zero onset"])
 def test_cli_spectrum_at_zero_bias_places_the_device_by_the_model(tmp_path, text):
     from qdswitch import g_of_voltage, onset_voltage, voltage_to_detuning
@@ -1198,7 +1207,7 @@ def test_cli_spectrum_flat_coupling_table_changes_no_byte(tmp_path_factory, bias
 
     work = tmp_path_factory.mktemp("flat")
     device = f"dx_um = 0.2\nbias_v = {bias!r}\n"
-    runs = {"plain": device, "table": device + "g_anchor_v = 0, 14\ng_anchor_ghz = 20, 20\n"}
+    runs = {"plain": device, "table": device + FLAT_TABLE}
     written = {}
     for name, text in runs.items():
         (work / f"{name}.cfg").write_text(text, encoding="utf-8")
@@ -1208,10 +1217,6 @@ def test_cli_spectrum_flat_coupling_table_changes_no_byte(tmp_path_factory, bias
     cfg = parse_config(_preset_path("paper"), work / "plain.cfg")
     assert written["table"] == written["plain"]
     assert written["plain"] == _model_spectrum(work / "model.csv", cfg, bias).read_bytes()
-
-
-FLAT_TABLE = "g_anchor_v = 0, 14\ng_anchor_ghz = 20, 20\n"   # g at g_ghz at every bias
-MET_TABLE = "g_anchor_v = 0, 14\ng_anchor_ghz = 20, 18\n"    # the paper targets still met
 
 
 def _switch_and_contrast_fit(work, name, text):
