@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .constants import TWO_PI
-from .cqed import CqedParams, OpticalFrame, kappa_from_q
+from .cqed import DETUNING_RANGE_GHZ, INTENSITY_RANGE, CqedParams, OpticalFrame, kappa_from_q
 from .electrostatics import (BIAS_RANGE_V, DEFAULT_FIELD_SIGN, POINTS_MAX, SCREENING_RANGE,
                              DriveSpec, ElectrostaticParams, EnergyBudget, StarkCoefficients)
 from .errors import ConfigError, DomainError, check_array, check_value, read_text
@@ -64,9 +64,9 @@ def _parse_targets(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-# Ordinary-GHz ranges of the CqedParams and detuning keys (the 935 nm carrier is
-# 3.2e5 GHz); the CqedParams fields keep the wider domains fit trial points need.
-_DETUNING_GHZ, _RATE_GHZ = ("[]", (-1e6, 1e6)), (1e-6, 1e6)
+# Ordinary-GHz ranges of the CqedParams and detuning keys; the CqedParams fields
+# keep the wider domains fit trial points need.
+_DETUNING_GHZ, _RATE_GHZ = ("[]", DETUNING_RANGE_GHZ), (1e-6, 1e6)
 _COUPLING_GHZ, _BIAS_V = ("[]", (0.0, 1e6)), ("[]", BIAS_RANGE_V)
 
 # type -> {field: key, or (key, default[, (kind, bound)]) where the field has no
@@ -87,7 +87,7 @@ _FIELDS: dict[type, dict[str, str | tuple]] = {
                  "coupling": ("g_ghz", 20.0, _COUPLING_GHZ),
                  "dot_decay": ("gamma_ghz", 0.1, ("[]", _RATE_GHZ)),
                  "amplitude": ("amplitude", None, ("[]", (1e-30, 1e30))),
-                 "background": ("background", None, ("[]", (0.0, 1e30)))},
+                 "background": ("background", None, ("[]", INTENSITY_RANGE))},
     DriveSpec: {"v_low": ("v_low_v", 0.0), "v_high": ("v_high_v", 10.0), "duty": "duty",
                 "frequency_mhz": ("drive_mhz", 150.0), "rc_cutoff_mhz": "rc_cutoff_mhz",
                 "cycles": "cycles", "samples_per_cycle": "samples_per_cycle"},

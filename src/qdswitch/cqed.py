@@ -27,6 +27,8 @@ from .errors import DomainError, check_array, check_domains, domain
 
 # Largest coupling whose square is finite; the next float up overflows g ** 2.
 COUPLING_MAX = math.sqrt(sys.float_info.max)
+# Ranges of config keys and data-file columns: ordinary-GHz detuning, nm, intensity.
+DETUNING_RANGE_GHZ, WAVELENGTH_RANGE_NM, INTENSITY_RANGE = (-1e6, 1e6), (0.1, 1e7), (0.0, 1e30)
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,8 @@ _CQED_FIELDS = tuple(f.name for f in fields(CqedParams))
 class OpticalFrame:
     """Reference optical frame: operating wavelength and loaded Q."""
 
-    reference_wavelength_nm: float = domain("[]", (0.1, 1e7), label="reference_wavelength",
-                                            default=935.0)
+    reference_wavelength_nm: float = domain("[]", WAVELENGTH_RANGE_NM,
+                                            label="reference_wavelength", default=935.0)
     quality_factor: float | None = domain("[]", (1.0, 1e9), default=None)
 
     __post_init__ = check_domains

@@ -18,12 +18,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_NM_NS, TWO_PI
-from .cqed import OpticalFrame, Spectrum
-from .electrostatics import ShiftDataset
-from .errors import DomainError, IngestError, check_array, read_text
+from .cqed import DETUNING_RANGE_GHZ, INTENSITY_RANGE, WAVELENGTH_RANGE_NM, OpticalFrame, Spectrum
+from .electrostatics import BIAS_RANGE_V, ShiftDataset
+from .errors import DomainError, IngestError, check_value, read_text
 
-SPECTRUM_WAVELENGTH_HEADER = "wavelength_nm"
-SPECTRUM_DETUNING_HEADER = "detuning_GHz"
+# Closed range of each data-file column, checked as the file is read (NaN and inf
+# are outside); a spectrum file's second column is the intensity, whatever its header.
+COLUMN_RANGES = {"detuning_GHz": DETUNING_RANGE_GHZ, "wavelength_nm": WAVELENGTH_RANGE_NM,
+                 "intensity": INTENSITY_RANGE, "voltage_V": BIAS_RANGE_V, "shift_meV": (-1e3, 1e3)}
 
 # Rows formatted and written per file write; bounds the text held in memory.
 WRITE_CHUNK_ROWS = 4096
@@ -191,6 +193,19 @@ def _line_of(path: Path | str, row: int) -> int:
     return [k for k, line in enumerate(lines, start=1) if line.strip()][row + 1]
 
 
+def _check_ranges(path: Path | str, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Raise IngestError("<file>:<line>: <name> must ..., got <v>") at the first bad row."""
+    ranges = [COLUMN_RANGES[name] for name in names]
+    inside = [(lo <= c) & (c <= hi) for c, (lo, hi) in zip(columns, ranges)]
+    if not (rows := inside[0] & inside[1]).all():
+        row = int(rows.argmin())
+        k = int(inside[0][row])  # 0 if the first column is outside on that row, else 1
+        try:
+            check_value(names[k], float(columns[k][row]), "[]", ranges[k])
+        except DomainError as exc:
+            raise IngestError(f"{path}:{_line_of(path, row)}: {exc}") from None
+
+
 def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
                         OpticalFrame.reference_wavelength_nm) -> Spectrum:
     """Read a two-column spectrum file into a sorted, deduplicated Spectrum.
@@ -200,55 +215,38 @@ def ingest_spectrum_csv(path: Path | str, reference_wavelength_nm: float =
     lambda0^2; 'detuning_GHz' values are ordinary GHz.  Duplicate grid
     points must agree in intensity, otherwise the file is rejected.
     """
+    lambda0 = check_value("reference_wavelength", reference_wavelength_nm, "[]",
+                          WAVELENGTH_RANGE_NM)
     header, (x, y) = _read_rows(path)
     mode = header[0]
-    if mode not in (SPECTRUM_WAVELENGTH_HEADER, SPECTRUM_DETUNING_HEADER):
-        raise IngestError(
-            f"{path}: first column must be '{SPECTRUM_WAVELENGTH_HEADER}' or "
-            f"'{SPECTRUM_DETUNING_HEADER}', got '{mode}'")
-    if np.any(y < 0.0):
-        raise IngestError(f"{path}:{_line_of(path, int(np.argmax(y < 0.0)))}: "
-                          f"negative intensity")
-
-    given = x
-    with np.errstate(over="ignore"):  # an overflow is named by its line below
-        if mode == SPECTRUM_WAVELENGTH_HEADER:
-            dlam = x - reference_wavelength_nm
-            x = -SPEED_OF_LIGHT_NM_NS * dlam / reference_wavelength_nm ** 2  # ordinary GHz
-        x = TWO_PI * x  # angular GHz
-    try:
-        # Before the merge below: its relative tolerance takes inf for a repeat.
-        check_array("detunings", x, (("finite",),))
-    except DomainError as exc:
-        overflow = np.isinf(x) & np.isfinite(given)
-        if overflow.any():
-            bad = int(np.argmax(overflow))
-            raise IngestError(f"{path}:{_line_of(path, bad)}: {mode} {float(given[bad])!r} "
-                              f"overflows in the conversion to angular detuning") from None
-        raise IngestError(f"{path}: {exc}") from exc
-    try:
-        order = np.argsort(x, kind="stable")
-        x, y = x[order], y[order]
-        # A point within 1e-12 (relative) of its sorted predecessor repeats it;
-        # a run of such points is one grid point, kept at its first member.
-        repeat = np.append(False, np.abs(np.diff(x)) <= 1e-12 * np.maximum(np.abs(x[1:]), 1.0))
-        if repeat.any():
-            y_kept = y[np.maximum.accumulate(np.where(repeat, 0, np.arange(x.size)))]
-            tol = 1e-9 * np.maximum(np.maximum(np.abs(y), np.abs(y_kept)), 1.0)
-            if np.any(repeat & (np.abs(y - y_kept) > tol)):
-                raise IngestError(f"{path}: conflicting intensities for duplicated grid point")
-            x, y = x[~repeat], y[~repeat]
-        return Spectrum(x, y)
-    except DomainError as exc:
-        raise IngestError(f"{path}: {exc}") from exc
+    if mode not in ("wavelength_nm", "detuning_GHz"):
+        raise IngestError(f"{path}: first column must be 'wavelength_nm' or 'detuning_GHz', "
+                          f"got '{mode}'")
+    _check_ranges(path, (mode, "intensity"), (x, y))
+    if mode == "wavelength_nm":
+        x = -SPEED_OF_LIGHT_NM_NS * (x - lambda0) / lambda0 ** 2  # ordinary GHz, < 3e17
+    x = TWO_PI * x  # angular GHz
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    # A point within 1e-12 (relative) of its sorted predecessor repeats it;
+    # a run of such points is one grid point, kept at its first member.
+    repeat = np.append(False, np.abs(np.diff(x)) <= 1e-12 * np.maximum(np.abs(x[1:]), 1.0))
+    if repeat.any():
+        y_kept = y[np.maximum.accumulate(np.where(repeat, 0, np.arange(x.size)))]
+        tol = 1e-9 * np.maximum(np.maximum(np.abs(y), np.abs(y_kept)), 1.0)
+        if np.any(repeat & (np.abs(y - y_kept) > tol)):
+            raise IngestError(f"{path}: conflicting intensities for duplicated grid point")
+        x, y = x[~repeat], y[~repeat]
+    return Spectrum(x, y)
 
 
 def ingest_shift_csv(path: Path | str) -> ShiftDataset:
     """Read (voltage_V, shift_meV) rows into a ShiftDataset."""
-    header, (volts, shifts) = _read_rows(path)
-    if header[0] != "voltage_V" or header[1] != "shift_meV":
+    header, columns = _read_rows(path)
+    if header != ["voltage_V", "shift_meV"]:
         raise IngestError(f"{path}: expected header 'voltage_V,shift_meV'")
+    _check_ranges(path, header, columns)
     try:
-        return ShiftDataset(volts, shifts)
+        return ShiftDataset(*columns)
     except DomainError as exc:
         raise IngestError(f"{path}: {exc}") from exc

@@ -43,6 +43,7 @@ from qdswitch.config import (
     parse_config,
 )
 from qdswitch.cqed import COUPLING_MAX
+from qdswitch.csvio import COLUMN_RANGES
 
 FLOAT_KEYS = [key for key, spec in _KEYS.items()
               if spec[0] in (_parse_float, _parse_float_list)]
@@ -158,6 +159,23 @@ def test_readme_config_table_lists_every_key_with_its_default_and_range():
             ranges[key] = (kind, tuple(float(end) for end in text[1:-1].split(",")))
     assert documented == {key: spec[1] for key, spec in _KEYS.items()}
     assert {key: ranges[key] for key in RANGES} == RANGES
+
+
+def test_every_data_range_is_closed_and_physical():
+    for column, (low, high) in COLUMN_RANGES.items():
+        assert -1e30 <= low < high <= 1e30, column
+
+
+def test_readme_data_table_lists_every_column_with_its_range():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| column | range | quantity |\n| --- | --- | --- |\n")[1]
+    ranges = {}
+    for line in table[:table.index("\n\n")].splitlines():
+        column, limits, _ = line.strip("|").split(" | ", 2)
+        # Each range is closed: square brackets at both ends.
+        low, high = re.fullmatch(r"`\[([^,]+), ([^\]]+)\]`", limits).groups()
+        ranges[column.strip(" `")] = (float(low), float(high))
+    assert ranges == COLUMN_RANGES
 
 
 @settings(max_examples=200, deadline=None)

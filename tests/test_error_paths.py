@@ -55,35 +55,60 @@ CLI_FAILURES = {
     "config line without '='": (
         ["metrics", "--config", "{tmp}/c.cfg"], {"c.cfg": "seed = 1\ng_ghz 20\n"},
         1, "ConfigError", "{tmp}/c.cfg:2: expected 'key = value', got 'g_ghz 20'"),
+    # A value outside its column's range, or not finite, names its line and column.
     "negative intensity": (
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
         {"d.csv": "detuning_GHz,intensity\n0,1\n1,-1\n"},
-        3, "IngestError", "{tmp}/d.csv:3: negative intensity"),
+        3, "IngestError", "{tmp}/d.csv:3: intensity must be in [0, 1e+30], got -1.0"),
     "nan intensity": (
         ["fit", "--kind", "spectrum", "--data", "{tmp}/n.csv"],
         {"n.csv": SPECTRUM_TEXT + "2,nan\n"},
-        3, "IngestError", "{tmp}/n.csv: intensities must be finite, got nan"),
+        3, "IngestError", "{tmp}/n.csv:5: intensity must be finite, got nan"),
+    "intensity past its range": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
+        {"d.csv": "detuning_GHz,intensity\n-1,0.5\n0,1e308\n1,0.5\n"},
+        3, "IngestError", "{tmp}/d.csv:3: intensity must be in [0, 1e+30], got 1e+308"),
+    "detuning far below its range": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
+        {"d.csv": SPECTRUM_TEXT + "-1e300,0.5\n"},
+        3, "IngestError",
+        "{tmp}/d.csv:5: detuning_GHz must be in [-1e+06, 1e+06], got -1e+300"),
+    "negative wavelength": (
+        ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
+        {"d.csv": "wavelength_nm,intensity\n935,0.5\n-100,0.1\n935.1,0.5\n"},
+        3, "IngestError", "{tmp}/d.csv:3: wavelength_nm must be in [0.1, 1e+07], got -100.0"),
+    "negative Stark voltage": (
+        ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
+        {"d.csv": "voltage_V,shift_meV\n0,0\n-1,0\n5,0.1\n"},
+        3, "IngestError", "{tmp}/d.csv:3: voltage_V must be in [0, 100000], got -1.0"),
+    "Stark voltage past its range": (
+        ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
+        {"d.csv": "voltage_V,shift_meV\n0,0\n1e300,0\n5,0.1\n"},
+        3, "IngestError", "{tmp}/d.csv:3: voltage_V must be in [0, 100000], got 1e+300"),
+    "Stark shift past its range": (
+        ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
+        {"d.csv": "voltage_V,shift_meV\n0,0\n3,1e308\n5,0.1\n"},
+        3, "IngestError", "{tmp}/d.csv:3: shift_meV must be in [-1000, 1000], got 1e+308"),
     # An inf point is checked before duplicates merge, within whose relative
     # tolerance it would repeat its neighbour: dropped, or a false conflict.
     "inf detuning, its neighbour's intensity": (
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
         {"d.csv": SPECTRUM_TEXT + "inf,0.5\n"},
-        3, "IngestError", "{tmp}/d.csv: detunings must be finite, got inf"),
+        3, "IngestError", "{tmp}/d.csv:5: detuning_GHz must be finite, got inf"),
     "inf detuning, another intensity": (
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
         {"d.csv": SPECTRUM_TEXT + "inf,0.7\n"},
-        3, "IngestError", "{tmp}/d.csv: detunings must be finite, got inf"),
-    # A finite value whose conversion to angular detuning overflows names its line.
+        3, "IngestError", "{tmp}/d.csv:5: detuning_GHz must be finite, got inf"),
+    # A finite value whose conversion to angular detuning would overflow is
+    # outside its column's range.
     "detuning overflows": (
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
         {"d.csv": SPECTRUM_TEXT + "1e308,0.5\n"},
-        3, "IngestError",
-        "{tmp}/d.csv:5: detuning_GHz 1e+308 overflows in the conversion to angular detuning"),
+        3, "IngestError", "{tmp}/d.csv:5: detuning_GHz must be in [-1e+06, 1e+06], got 1e+308"),
     "wavelength detuning overflows": (
         ["fit", "--kind", "spectrum", "--data", "{tmp}/d.csv"],
         {"d.csv": "wavelength_nm,intensity\n935,0.5\n1e308,0.5\n935.1,0.1\n"},
-        3, "IngestError",
-        "{tmp}/d.csv:3: wavelength_nm 1e+308 overflows in the conversion to angular detuning"),
+        3, "IngestError", "{tmp}/d.csv:3: wavelength_nm must be in [0.1, 1e+07], got 1e+308"),
     "repeated voltage": (
         ["fit", "--kind", "stark", "--data", "{tmp}/d.csv"],
         {"d.csv": "voltage_V,shift_meV\n0,0\n1,0.1\n1,0.2\n"},
@@ -400,6 +425,16 @@ LIBRARY_FAILURES = {
     "spectrum lengths differ": (
         lambda: Spectrum(GRID, np.ones(2)),
         r"^intensities must have shape \(3,\) like detunings, got shape \(2,\)$"),
+    # The reference is checked before the file is read.
+    "zero reference wavelength": (
+        lambda: ingest_spectrum_csv("unread.csv", 0.0),
+        r"^reference_wavelength must be in \[0.1, 1e\+07\], got 0.0$"),
+    "tiny reference wavelength": (
+        lambda: ingest_spectrum_csv("unread.csv", 1e-300),
+        r"^reference_wavelength must be in \[0.1, 1e\+07\], got 1e-300$"),
+    "negative reference wavelength": (
+        lambda: ingest_spectrum_csv("unread.csv", -935.0),
+        r"^reference_wavelength must be in \[0.1, 1e\+07\], got -935.0$"),
 }
 
 
@@ -422,13 +457,13 @@ def test_library_rejects_bad_input(case):
     (ingest_spectrum_csv, "\r\n\r\ndetuning_GHz,intensity\r\n\r\n0,1\r\n1,x\r\n",
      "d.csv:6: non-numeric value$"),
     (ingest_spectrum_csv, "\n \ndetuning_GHz,intensity\n0,1\n1,-2\n",
-     "d.csv:5: negative intensity$"),
+     r"d.csv:5: intensity must be in \[0, 1e\+30\], got -2.0$"),
     (ingest_spectrum_csv, "\n\t\ndetuning_GHz,intensity\n0,1\n-1e308,1\n",
-     r"d.csv:5: detuning_GHz -1e\+308 overflows in the conversion to angular detuning$"),
+     r"d.csv:5: detuning_GHz must be in \[-1e\+06, 1e\+06\], got -1e\+308$"),
     (ingest_spectrum_csv, "detuning_GHz,intensity\n0,1\n-1e308,1\n",
-     r"d.csv:3: detuning_GHz -1e\+308 overflows in the conversion to angular detuning$"),
+     r"d.csv:3: detuning_GHz must be in \[-1e\+06, 1e\+06\], got -1e\+308$"),
     (ingest_spectrum_csv, "wavelength_nm,intensity\n1e308,1\n935,1\n",
-     r"d.csv:2: wavelength_nm 1e\+308 overflows in the conversion to angular detuning$"),
+     r"d.csv:2: wavelength_nm must be in \[0.1, 1e\+07\], got 1e\+308$"),
     (ingest_shift_csv, b"\xef\xbb\xbfvoltage_V,shift_meV\n\n0,0\n1,0.1\xb5\n",
      r"d.csv:4: not UTF-8 text \(invalid start byte: 0xb5\)$"),
 ], ids=["wrong-width header", "no data rows", "no data rows, header without newline",

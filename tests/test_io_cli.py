@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from qdswitch import cli, fitting
 from qdswitch.cli import main
 from qdswitch.config import _KEYS, parse_config
 from qdswitch.constants import GHZ_PER_MEV
+from qdswitch.cqed import WAVELENGTH_RANGE_NM
 from qdswitch.csvio import (
+    COLUMN_RANGES,
     WRITE_CHUNK_ROWS,
     format_value,
     ingest_shift_csv,
@@ -276,9 +280,8 @@ def test_write_csv_float_array_bytes_match_per_value_formatting(tmp_path_factory
 @settings(max_examples=40, deadline=None)
 @given(table=float_tables())
 def test_write_csv_column_major_table_matches_column_stack(tmp_path_factory, table):
-    # The switch trace is passed column-major (np.array(columns).T), which
-    # the float path formats without copying a column; the bytes must not
-    # depend on the table's memory order.
+    # A 2-D table's bytes do not depend on its memory order: a column-major
+    # view writes the same file as the row-major stack.
     columns = list(table.T)
     header = [f"c{k}" for k in range(len(columns))]
     out = tmp_path_factory.mktemp("order")
@@ -715,13 +718,80 @@ LAYOUT_VALUES = np.random.default_rng(11).uniform(-1.0, 1.0, (40, 2)) * [100.0, 
 ])
 def test_ingest_reads_every_line_layout_like_the_clean_file(tmp_path, layout, header,
                                                             ingest, fields):
-    values = np.abs(LAYOUT_VALUES) if ingest is ingest_spectrum_csv else LAYOUT_VALUES
+    # Intensities and voltages are >= 0; Stark shifts keep their signs.
+    values = np.abs(LAYOUT_VALUES)
+    if ingest is ingest_shift_csv:
+        values[:, 1] = LAYOUT_VALUES[:, 1]
     clean = write_csv(tmp_path / "clean.csv", header, values).read_text(encoding="utf-8")
     path = tmp_path / "laid_out.csv"
     path.write_bytes(LAYOUTS[layout](clean).encode("utf-8"))
     want, got = ingest(tmp_path / "clean.csv"), ingest(path)
     for field in fields:
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+# header -> (ingest, interior rows of a valid file); no value repeats in its
+# column, with the range ends added either, so each row's text is unique.
+RANGE_FILES = {
+    ("detuning_GHz", "intensity"): (
+        ingest_spectrum_csv, np.column_stack([np.linspace(-100.0, 100.0, 6),
+                                              np.linspace(0.1, 1.0, 6)])),
+    ("wavelength_nm", "intensity"): (
+        ingest_spectrum_csv, np.column_stack([np.linspace(934.5, 935.5, 6),
+                                              np.linspace(0.1, 1.0, 6)])),
+    ("voltage_V", "shift_meV"): (
+        ingest_shift_csv, np.column_stack([np.linspace(1.0, 14.0, 6),
+                                           np.linspace(-0.3, 0.3, 6)])),
+}
+
+
+@st.composite
+def range_cases(draw):
+    """(header, ingest, rows, reference, (row, column, bad value)): a valid
+    file, its first two rows at its columns' range ends, the reference for a
+    wavelength file, and a value just outside a range, or not finite, to
+    plant in any row and column."""
+    header = draw(st.sampled_from(sorted(RANGE_FILES)))
+    ingest, interior = RANGE_FILES[header]
+    (lo0, hi0), (lo1, hi1) = (COLUMN_RANGES[name] for name in header)
+    rows = np.vstack([[[lo0, lo1], [hi0, hi1]], interior[:draw(st.integers(0, 6))]])
+    reference = draw(st.sampled_from([*WAVELENGTH_RANGE_NM, 935.0]))
+    column = draw(st.integers(0, 1))
+    low, high = COLUMN_RANGES[header[column]]
+    bad = draw(st.sampled_from([math.nextafter(low, -math.inf), math.nextafter(high, math.inf),
+                                math.inf, -math.inf, math.nan]))
+    return header, ingest, rows, reference, (draw(st.integers(0, len(rows) - 1)), column, bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=range_cases(), layout=st.sampled_from(sorted(LAYOUTS)))
+def test_ingest_names_the_line_and_column_of_a_value_outside_its_range(tmp_path_factory, case,
+                                                                      layout):
+    header, ingest, rows, reference, (row, column, bad) = case
+
+    def read(path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return ingest(path, reference) if header[0] == "wavelength_nm" else ingest(path)
+
+    folder = tmp_path_factory.mktemp("ranges")
+    clean = folder / "clean.csv"
+    clean.write_text(LAYOUTS[layout](_rows(",".join(header), *rows.T)), encoding="utf-8")
+    for values in dataclasses.astuple(read(clean)):  # every range end ingests, finite
+        assert values.shape == (len(rows),) and np.isfinite(values).all()
+    planted = rows.copy()
+    planted[row, column] = bad
+    text = LAYOUTS[layout](_rows(",".join(header), *planted.T))
+    path = folder / "planted.csv"
+    path.write_text(text, encoding="utf-8")
+    # The physical line of the planted row, blank and whitespace-only lines counted.
+    row_text = ",".join(map(repr, planted[row].tolist()))
+    line = 1 + [physical.strip() for physical in text.splitlines()].index(row_text)
+    low, high = COLUMN_RANGES[header[column]]
+    rule = f"be in [{low:g}, {high:g}]" if math.isfinite(bad) else "be finite"
+    with pytest.raises(IngestError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:{line}: {header[column]} must {rule}, got {bad}"
 
 
 def test_ingest_reads_every_float_syntax(tmp_path):
